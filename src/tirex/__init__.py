@@ -13,12 +13,10 @@ __version__ = "0.1.0"
 
 from .data import (
     Dataset,
-    RankView,
     StandardizedDataset,
     descending_order,
     empirical_quantile,
     load_csv,
-    rank_view,
     standardize,
     write_csv,
 )
@@ -31,15 +29,9 @@ from .errors import (
 )
 from .estimators import (
     METHODS,
-    ProcessPoint,
+    PreparedFit,
     SdrFit,
-    b_process,
-    c_process,
-    cume_matrix_oracle,
-    cuve_matrix_oracle,
     fit,
-    pca_basis,
-    process_point,
     tirex1_matrix,
     tirex2_matrix,
 )

@@ -71,17 +71,35 @@ def load_config(path):
     return cfg
 
 
+def _config_value(action, key, value):
+    """Convert and check a config value as argparse does the flag's text, so
+    {"k": 40.7} is refused like --k 40.7."""
+    if action.nargs == 0:  # a switch such as --expected-abs-r
+        return value
+    text = str(value)
+    try:
+        value = action.type(text) if action.type else text
+    except ValueError:
+        raise InvalidInputError(f"config key {key!r}: invalid value {value!r}") from None
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(str, action.choices))
+        raise InvalidInputError(
+            f"config key {key!r}: invalid choice {value!r} (choose from {choices})"
+        )
+    return value
+
+
 def _merge_config(args, parser):
     """Fill unset flags from --config; flags always win over config values."""
     if not getattr(args, "config", None):
         return args
     cfg = load_config(args.config)
-    known = {a.dest for a in parser._actions} - {"help", "config"}
+    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
     for key, value in cfg.items():
-        if key not in known:
+        if key not in actions:
             raise InvalidInputError(f"unknown config key {key!r}")
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
+        if getattr(args, key, None) is None and value is not None:
+            setattr(args, key, _config_value(actions[key], key, value))
     return args
 
 
@@ -91,22 +109,30 @@ def _require(args, *names):
             raise InvalidInputError(f"missing required option --{name.replace('_', '-')}")
 
 
-def _parse_k_grid(text, n):
+def _or_default(value, default):
+    """An option's value, or its default when it was not given; an explicit
+    0 stays 0 and meets the validators."""
+    return default if value is None else value
+
+
+def _parse_list(text, convert, flag):
+    """Comma-separated values; empty cells are skipped."""
+    try:
+        return [convert(p) for p in str(text).split(",") if p]
+    except ValueError:
+        raise InvalidInputError(f"{flag}: cannot parse {text!r} as a comma list") from None
+
+
+def _parse_k_grid(text):
     """k-grid syntax: 'lo:hi:count' (geometric), a comma list, or one int."""
     text = str(text)
     if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise InvalidInputError(f"bad k-grid {text!r}; expected lo:hi:count")
-        lo, hi, count = (int(p) for p in parts)
+        try:
+            lo, hi, count = (int(p) for p in text.split(":"))
+        except ValueError:
+            raise InvalidInputError(f"bad k-grid {text!r}; expected lo:hi:count") from None
         return geometric_k_grid(lo, hi, count)
-    if "," in text:
-        return [int(p) for p in text.split(",") if p]
-    return [int(text)]
-
-
-def _parse_float_list(text):
-    return [float(p) for p in str(text).split(",") if p]
+    return _parse_list(text, int, "--k-grid")
 
 
 def _resolve_spec(args):
@@ -141,13 +167,14 @@ def _resolve_spec(args):
 def _cmd_simulate(args):
     _require(args, "seed", "out")
     spec, n = _resolve_spec(args)
-    ds = sample(spec, n, int(args.seed), stream=int(args.stream or 0))
+    stream = _or_default(args.stream, 0)
+    ds = sample(spec, n, args.seed, stream=stream)
     write_csv(ds, args.out)
     sidecar = {
         "artifact_version": __version__,
         "n": n,
-        "seed": int(args.seed),
-        "stream": int(args.stream or 0),
+        "seed": args.seed,
+        "stream": stream,
         "spec": spec.to_dict(),
     }
     _dump_json(sidecar, Path(args.out).with_suffix(".json"))
@@ -156,15 +183,9 @@ def _cmd_simulate(args):
 
 def _cmd_fit(args):
     _require(args, "infile", "method", "out")
-    ds = load_csv(args.infile, target=args.target or "y")
-    f = fit(
-        ds,
-        args.method,
-        k=None if args.k is None else int(args.k),
-        d=None if args.d is None else int(args.d),
-        eig_floor=None if args.eig_floor is None else float(args.eig_floor),
-        ridge=float(args.ridge or 0.0),
-    )
+    ds = load_csv(args.infile, target=_or_default(args.target, "y"))
+    f = fit(ds, args.method, k=args.k, d=args.d, eig_floor=args.eig_floor,
+            ridge=_or_default(args.ridge, 0.0))
     _dump_json(f.to_json_dict(), args.out)
     if args.basis_out:
         _write_text(args.basis_out, _matrix_csv_text(f.basis_raw))
@@ -176,10 +197,9 @@ def _cmd_fit(args):
 def _cmd_sweep(args):
     _require(args, "method", "d", "k_grid", "reps", "seed", "out")
     spec, n = _resolve_spec(args)
-    k_grid = _parse_k_grid(args.k_grid, n)
     report = sweep(
-        spec, n, args.method, int(args.d), k_grid,
-        reps=int(args.reps), seed=int(args.seed), jobs=int(args.jobs or 1),
+        spec, n, args.method, args.d, _parse_k_grid(args.k_grid),
+        reps=args.reps, seed=args.seed, jobs=_or_default(args.jobs, 1),
     )
     _write_text(args.out, report.to_csv_text())
     if args.json_out:
@@ -190,22 +210,24 @@ def _cmd_sweep(args):
 def _cmd_classify(args):
     _require(args, "d", "seed", "out")
     if getattr(args, "infile", None):
-        ds = load_csv(args.infile, target=args.target or "y")
+        ds = load_csv(args.infile, target=_or_default(args.target, "y"))
     else:
         spec, n = _resolve_spec(args)
-        ds = sample(spec, n, int(args.seed), stream=0)
-    methods = [m.strip() for m in (args.methods or ",".join(METHODS)).split(",") if m.strip()]
+        ds = sample(spec, n, args.seed, stream=0)
+    methods = [m.strip() for m in _or_default(args.methods, ",".join(METHODS)).split(",")
+               if m.strip()]
+    if not methods:
+        raise InvalidInputError("--methods names no method")
     for m in methods:
         if m not in METHODS:
             raise InvalidInputError(f"unknown method {m!r} in --methods")
-    k_grid = None if args.k_grid is None else _parse_k_grid(args.k_grid, ds.n)
     report = classify_experiment(
-        ds, methods, d=int(args.d),
-        quantile_level=float(args.quantile_level or 0.98),
-        folds=int(args.folds or 5),
-        seed=int(args.seed),
-        k_grid=k_grid,
-        n_neighbors=int(args.neighbors or 5),
+        ds, methods, d=args.d,
+        quantile_level=_or_default(args.quantile_level, 0.98),
+        folds=_or_default(args.folds, 5),
+        seed=args.seed,
+        k_grid=None if args.k_grid is None else _parse_k_grid(args.k_grid),
+        n_neighbors=_or_default(args.neighbors, 5),
     )
     _write_text(args.out, report.to_csv_text())
     if args.json_out:
@@ -215,15 +237,15 @@ def _cmd_classify(args):
 
 def _cmd_verify_process(args):
     _require(args, "n", "k", "reps", "seed", "out")
-    u_grid = _parse_float_list(args.u_grid or "0.1,0.3,0.5,0.7,1.0")
     cfg = ProcessCheckConfig(
-        generator=IndependentNormalModel(p=int(args.p or 3)),
-        n=int(args.n),
-        k=int(args.k),
-        n_reps=int(args.reps),
-        u_grid=tuple(u_grid),
-        order=int(args.order or 1),
-        seed=int(args.seed),
+        generator=IndependentNormalModel(p=_or_default(args.p, 3)),
+        n=args.n,
+        k=args.k,
+        n_reps=args.reps,
+        u_grid=tuple(_parse_list(_or_default(args.u_grid, "0.1,0.3,0.5,0.7,1.0"),
+                                 float, "--u-grid")),
+        order=_or_default(args.order, 1),
+        seed=args.seed,
     )
     report = covariance_check(cfg)
     _write_text(args.out, report.to_csv_text())
@@ -242,21 +264,18 @@ def _cmd_tci_ratio(args):
     out = {}
     if args.expected_abs_r:
         _require(args, "seed", "y_grid")
-        y_grid = _parse_float_list(args.y_grid)
-        values = [
-            expected_abs_R(spec, y, int(args.n_mc or 100_000), int(args.seed))
-            for y in y_grid
-        ]
+        y_grid = _parse_list(args.y_grid, float, "--y-grid")
+        n_mc = _or_default(args.n_mc, 100_000)
         out["y_grid"] = y_grid
-        out["expected_abs_r"] = values
+        out["expected_abs_r"] = [expected_abs_R(spec, y, n_mc, args.seed) for y in y_grid]
     else:
         _require(args, "y", "v", "w")
         ratios = tci_ratios(
-            spec, float(args.y),
-            np.array(_parse_float_list(args.v)),
-            np.array(_parse_float_list(args.w)),
+            spec, args.y,
+            np.array(_parse_list(args.v, float, "--v")),
+            np.array(_parse_list(args.w, float, "--w")),
         )
-        out["y"] = float(args.y)
+        out["y"] = args.y
         out["r"] = ratios.r
         out["r_tilde"] = ratios.r_tilde
     _dump_json(out, args.out)

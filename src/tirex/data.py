@@ -69,25 +69,12 @@ class StandardizedDataset:
     mean: np.ndarray
     covariance: np.ndarray
     whitener: np.ndarray
-    source: str = ""
-
-
-@dataclass(frozen=True)
-class RankView:
-    """Permutation (0-based) sorting y strictly descending, stable in the
-    original index within ties."""
-
-    order_desc: np.ndarray
 
 
 def descending_order(y):
     """Indices sorting ``y`` descending; ties keep original order (stable)."""
     y = np.asarray(y, dtype=float)
     return np.argsort(-y, kind="stable")
-
-
-def rank_view(ds):
-    return RankView(order_desc=descending_order(ds.y))
 
 
 def load_csv(path, target="y"):
@@ -143,12 +130,13 @@ def load_csv(path, target="y"):
     )
 
 
-def write_csv(ds, path, target="y"):
-    """Write a dataset as CSV: header, then shortest round-trip decimals."""
+def write_csv(ds, path):
+    """Write a dataset as CSV: header (target column ``y`` last), then
+    shortest round-trip decimals."""
     names = ds.names if ds.names is not None else [f"x{j + 1}" for j in range(ds.p)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(names) + [target])
+        writer.writerow(list(names) + ["y"])
         for i in range(ds.n):
             writer.writerow([repr(float(v)) for v in ds.x[i]] + [repr(float(ds.y[i]))])
 
@@ -167,13 +155,7 @@ def standardize(ds, eig_floor=None, ridge=0.0):
     cov = symmetrize(xc.T @ xc / ds.n)
     whitener = inv_sqrt(cov, eig_floor=eig_floor, ridge=ridge)
     z = xc @ whitener
-    return StandardizedDataset(
-        z=z,
-        mean=mean,
-        covariance=cov,
-        whitener=whitener,
-        source=f"standardized {ds.n}x{ds.p} dataset",
-    )
+    return StandardizedDataset(z=z, mean=mean, covariance=cov, whitener=whitener)
 
 
 def ceil_index(x):

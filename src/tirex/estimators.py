@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import RankView, ceil_index, descending_order, standardize
+from .data import descending_order, standardize
 from .errors import InvalidInputError
 from .linalg import (
     EigenDecomposition,
@@ -33,8 +33,9 @@ from .linalg import (
 )
 
 METHODS = ("tirex1", "tirex2", "cume", "cuve", "pca", "svd_pca")
+# the methods whose k is free; cume/cuve pin k to n, the PCA variants ignore it
+FREE_K_METHODS = ("tirex1", "tirex2")
 
-# k-free methods: cume/cuve pin k to n, the PCA variants ignore it entirely
 _K_FORCED_TO_N = ("cume", "cuve")
 _PCA_METHODS = ("pca", "svd_pca")
 
@@ -42,7 +43,7 @@ _BLOCK = 1024
 
 
 def _order_indices(order, n):
-    idx = order.order_desc if isinstance(order, RankView) else np.asarray(order)
+    idx = np.asarray(order)
     if idx.shape != (n,):
         raise InvalidInputError(f"order must be a permutation of {n} row indices")
     return idx
@@ -51,54 +52,6 @@ def _order_indices(order, n):
 def _check_k(k, n):
     if not (1 <= k <= n):
         raise InvalidInputError(f"k must satisfy 1 <= k <= n={n}, got {k}")
-
-
-def c_process(z, order, k, u):
-    """First-order tail process value: (1/k) sum of the top ceil(k*u) rows of
-    z ordered by descending target."""
-    z = np.asarray(z, dtype=float)
-    n = z.shape[0]
-    _check_k(k, n)
-    if not (0.0 <= u <= 1.0):
-        raise InvalidInputError(f"u must lie in [0, 1], got {u}")
-    m = min(ceil_index(k * u), k)
-    if m == 0:
-        return np.zeros(z.shape[1])
-    idx = _order_indices(order, n)
-    return z[idx[:m]].sum(axis=0) / k
-
-
-def b_process(z, order, k, u):
-    """Second-order tail process value with summand z z^T - I."""
-    z = np.asarray(z, dtype=float)
-    n, p = z.shape
-    _check_k(k, n)
-    if not (0.0 <= u <= 1.0):
-        raise InvalidInputError(f"u must lie in [0, 1], got {u}")
-    m = min(ceil_index(k * u), k)
-    if m == 0:
-        return np.zeros((p, p))
-    idx = _order_indices(order, n)
-    zm = z[idx[:m]]
-    return symmetrize((zm.T @ zm - m * np.eye(p)) / k)
-
-
-@dataclass(frozen=True)
-class ProcessPoint:
-    """Joint evaluation of the two tail processes at one u.
-
-    Both components vanish at u = 0 and are piecewise constant in u with
-    breakpoints at j/k (right-closed pieces).
-    """
-
-    u: float
-    c: np.ndarray
-    b: np.ndarray
-
-
-def process_point(z, order, k, u):
-    """Evaluate the first- and second-order tail processes at the same u."""
-    return ProcessPoint(u=float(u), c=c_process(z, order, k, u), b=b_process(z, order, k, u))
 
 
 def tirex1_matrix(z, order, k):
@@ -133,44 +86,6 @@ def tirex2_matrix(z, order, k):
         total += np.einsum("jab,jcb->ac", t_block, t_block)
         running = t_block[-1]
     return symmetrize(total / float(k) ** 3)
-
-
-def cume_matrix_oracle(z, y):
-    """Brute-force cumulative-mean matrix for the negated target.
-
-    (1/n) sum_a m_a m_a^T with m_a = (1/n) sum_i z_i 1{-y_i <= -y_a}.  This is
-    the k = n limit of the first-order candidate matrix; kept as an
-    independent O(n^2) reference implementation.
-    """
-    z = np.asarray(z, dtype=float)
-    yt = -np.asarray(y, dtype=float)
-    n = z.shape[0]
-    ind = (yt[None, :] <= yt[:, None]).astype(float)
-    m = ind @ z / n
-    return symmetrize(m.T @ m / n)
-
-
-def cuve_matrix_oracle(z, y):
-    """Brute-force second-order analogue of cume_matrix_oracle, with summand
-    z_i z_i^T - I; the k = n reference for the second-order candidate."""
-    z = np.asarray(z, dtype=float)
-    yt = -np.asarray(y, dtype=float)
-    n, p = z.shape
-    grads = np.einsum("ji,jl->jil", z, z) - np.eye(p)
-    ind = (yt[None, :] <= yt[:, None]).astype(float)
-    w = np.einsum("ai,ijk->ajk", ind, grads) / n
-    return symmetrize(np.einsum("ajk,alk->jl", w, w) / n)
-
-
-def pca_basis(ds, d, centered=True):
-    """Top-d eigenvectors of the raw covariate covariance (centered) or raw
-    second-moment matrix (non-centered), divide-by-n convention."""
-    if not (1 <= d <= ds.p):
-        raise InvalidInputError(f"d must satisfy 1 <= d <= p={ds.p}, got {d}")
-    x = ds.x - ds.x.mean(axis=0) if centered else ds.x
-    moment = symmetrize(x.T @ x / ds.n)
-    eig = sym_eigen(moment)
-    return eig.eigenvectors[:, :d].copy()
 
 
 @dataclass(frozen=True)
@@ -226,67 +141,99 @@ def _default_d(method, d):
     raise InvalidInputError(f"method {method!r} requires an explicit d")
 
 
-def fit(ds, method, k=None, d=None, eig_floor=None, ridge=0.0):
-    """Estimate a dimension-reduction subspace on a dataset.
-
-    tirex1/tirex2 need 1 <= k <= n (the number of top order statistics);
-    cume/cuve force k = n; the PCA variants ignore k.  d defaults to 1 for
-    the first-order methods and must be given otherwise.
-    """
-    _validate_method(method)
-    d = _default_d(method, d)
-    if not (1 <= d <= ds.p):
-        raise InvalidInputError(f"d must satisfy 1 <= d <= p={ds.p}, got {d}")
-
+def _effective_k(method, k, n):
+    """The k a method fits at: cume/cuve pin it to n, the PCA variants have
+    none, and tirex1/tirex2 need an explicit 1 <= k <= n."""
     if method in _PCA_METHODS:
-        centered = method == "pca"
-        x = ds.x - ds.x.mean(axis=0) if centered else ds.x
-        candidate = symmetrize(x.T @ x / ds.n)
-        eig = sym_eigen(candidate)
-        basis = eig.eigenvectors[:, :d].copy()
-        return SdrFit(
-            method=method,
-            k=None,
-            d=d,
-            candidate_matrix=candidate,
-            eigen=eig,
-            basis_whitened=basis,
-            projector_whitened=projector_from_basis(basis),
-            basis_raw=basis,
-            mean=ds.x.mean(axis=0) if centered else np.zeros(ds.p),
-            whitener=None,
-        )
-
+        return None
     if method in _K_FORCED_TO_N:
-        k = ds.n
+        return n
     if k is None:
         raise InvalidInputError(f"method {method!r} requires k (no default)")
     k = int(k)
-    _check_k(k, ds.n)
-
-    std = standardize(ds, eig_floor=eig_floor, ridge=ridge)
-    order = descending_order(ds.y)
-    return _fit_standardized(std, order, method, k, d)
+    _check_k(k, n)
+    return k
 
 
-def _fit_standardized(std, order, method, k, d):
-    """Fit from pre-standardized covariates (shared by fit() and the sweep
-    harness, which reuses one standardization across many k)."""
-    if method in ("tirex1", "cume"):
-        candidate = tirex1_matrix(std.z, order, k)
-    else:
-        candidate = tirex2_matrix(std.z, order, k)
+def _pca_fit(ds, method, d):
+    """Top-d eigenvectors of the covariate covariance (pca) or raw second
+    moment (svd_pca), divide-by-n convention; no whitening."""
+    centered = method == "pca"
+    x = ds.x - ds.x.mean(axis=0) if centered else ds.x
+    candidate = symmetrize(x.T @ x / ds.n)
     eig = sym_eigen(candidate)
-    basis_w = eig.eigenvectors[:, :d].copy()
+    basis = eig.eigenvectors[:, :d].copy()
     return SdrFit(
         method=method,
-        k=k,
+        k=None,
         d=d,
         candidate_matrix=candidate,
         eigen=eig,
-        basis_whitened=basis_w,
-        projector_whitened=projector_from_basis(basis_w),
-        basis_raw=orthonormal_columns(std.whitener @ basis_w),
-        mean=std.mean,
-        whitener=std.whitener,
+        basis_whitened=basis,
+        projector_whitened=projector_from_basis(basis),
+        basis_raw=basis,
+        mean=ds.x.mean(axis=0) if centered else np.zeros(ds.p),
+        whitener=None,
     )
+
+
+class PreparedFit:
+    """One method on one dataset, prepared once and fitted at any k.
+
+    The covariates are whitened and the target is sorted here, once, so each
+    ``fit(k)`` costs only the O(k p^2) (first-order) or O(k p^3)
+    (second-order) candidate matrix and a p x p eigensolve.  The PCA variants
+    have no k and are fitted here outright.  Raises InvalidInputError for an
+    unknown method or a bad d, and NumericalError when the covariance cannot
+    be whitened.
+    """
+
+    def __init__(self, ds, method, d=None, eig_floor=None, ridge=0.0):
+        _validate_method(method)
+        d = _default_d(method, d)
+        if not (1 <= d <= ds.p):
+            raise InvalidInputError(f"d must satisfy 1 <= d <= p={ds.p}, got {d}")
+        self.method, self.d, self.n = method, d, ds.n
+        if method in _PCA_METHODS:
+            self._pca = _pca_fit(ds, method, d)
+        else:
+            self._std = standardize(ds, eig_floor=eig_floor, ridge=ridge)
+            self._order = descending_order(ds.y)
+
+    def fit(self, k=None):
+        """The fit at k: cume/cuve ignore k and use n, the PCA variants
+        ignore it, tirex1/tirex2 need 1 <= k <= n."""
+        k = _effective_k(self.method, k, self.n)
+        if k is None:  # a PCA variant
+            return self._pca
+        if self.method in ("tirex1", "cume"):
+            candidate = tirex1_matrix(self._std.z, self._order, k)
+        else:
+            candidate = tirex2_matrix(self._std.z, self._order, k)
+        eig = sym_eigen(candidate)
+        basis_w = eig.eigenvectors[:, :self.d].copy()
+        return SdrFit(
+            method=self.method,
+            k=k,
+            d=self.d,
+            candidate_matrix=candidate,
+            eigen=eig,
+            basis_whitened=basis_w,
+            projector_whitened=projector_from_basis(basis_w),
+            basis_raw=orthonormal_columns(self._std.whitener @ basis_w),
+            mean=self._std.mean,
+            whitener=self._std.whitener,
+        )
+
+
+def fit(ds, method, k=None, d=None, eig_floor=None, ridge=0.0):
+    """Estimate a dimension-reduction subspace on a dataset at one k.
+
+    tirex1/tirex2 need 1 <= k <= n (the number of top order statistics);
+    cume/cuve force k = n; the PCA variants ignore k.  d defaults to 1 for
+    the first-order methods and must be given otherwise.  To fit at many k,
+    prepare once with PreparedFit.
+    """
+    _validate_method(method)
+    _effective_k(method, k, ds.n)  # a bad k is reported before whitening runs
+    return PreparedFit(ds, method, d, eig_floor=eig_floor, ridge=ridge).fit(k)

@@ -23,14 +23,14 @@ import numpy as np
 from scipy.stats import rankdata
 
 from . import rng as rngmod
-from .data import descending_order, empirical_quantile, standardize
+from .data import empirical_quantile
 from .errors import InvalidInputError, NumericalError
-from .estimators import _PCA_METHODS, _fit_standardized, fit
+from .estimators import FREE_K_METHODS, PreparedFit, fit
 from .linalg import frobenius_dist_sq
 from .synthetic import sample, true_projector
 
 DEFAULT_NEIGHBORS = 5
-DEFAULT_TEST_FRACTION = 0.2
+TEST_FRACTION = 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +130,6 @@ class SweepReport:
     method: str
     d: int
     reps: int
-    k_grid: list
     cells: list
 
     def to_csv_text(self):
@@ -165,45 +164,39 @@ class SweepReport:
         raise KeyError(k)
 
 
-def _rep_projectors(spec, n, method, d, k_grid, seed, rep, eig_floor):
+def _rep_projectors(spec, n, method, d, k_grid, seed, rep):
     """Projector matrices for one replication, one entry per grid position
     (None marks a numerical failure)."""
     ds = sample(spec, n, seed, stream=rep)
-    if method in _PCA_METHODS:
-        try:
-            proj = fit(ds, method, d=d, eig_floor=eig_floor).projector_whitened.matrix
-        except NumericalError:
-            proj = None
-        return [proj] * len(k_grid)
     try:
-        std = standardize(ds, eig_floor=eig_floor)
-        order = descending_order(ds.y)
+        prepared = PreparedFit(ds, method, d)
     except NumericalError:
         return [None] * len(k_grid)
     out = []
     for k in k_grid:
-        k_eff = ds.n if method in ("cume", "cuve") else k
         try:
-            f = _fit_standardized(std, order, method, k_eff, d)
-            out.append(f.projector_whitened.matrix)
+            out.append(prepared.fit(k).projector_whitened.matrix)
         except NumericalError:
             out.append(None)
     return out
 
 
-def sweep(spec, n, method, d, k_grid, reps, seed, eig_floor=None, jobs=1, fitter=None):
+def sweep(spec, n, method, d, k_grid, reps, seed, jobs=1, fitter=None):
     """Estimate bias^2 / variance / MSE of the fitted projector per k.
 
-    Replication r draws its own sample (stream r of the seed) which is shared
-    across the whole k grid; numerical failures abort single (k, rep) cells
-    and are counted.  ``fitter`` is a test hook mapping (dataset, k) to a
-    projector matrix in place of the real pipeline (single-process only).
+    Replication r draws its own sample (stream r of the seed), prepared once
+    and shared across the whole k grid; numerical failures abort single
+    (k, rep) cells and are counted.  ``fitter`` is a test hook mapping
+    (dataset, k) to a projector matrix in place of the real pipeline
+    (single-process only).
     ``jobs`` > 1 fans replications out to worker processes; results reduce in
     replication order, so the output is independent of scheduling.
     """
     if reps < 2:
         raise InvalidInputError("sweep needs reps >= 2")
     k_grid = [int(k) for k in k_grid]
+    if not k_grid:
+        raise InvalidInputError("k_grid must be non-empty")
     for k in k_grid:
         if not (1 <= k <= n):
             raise InvalidInputError(f"k={k} outside [1, n={n}]")
@@ -215,12 +208,12 @@ def sweep(spec, n, method, d, k_grid, reps, seed, eig_floor=None, jobs=1, fitter
             ds = sample(spec, n, seed, stream=r)
             per_rep.append([np.asarray(fitter(ds, k), dtype=float) for k in k_grid])
     elif jobs > 1:
-        args = [(spec, n, method, d, k_grid, seed, r, eig_floor) for r in range(reps)]
+        args = [(spec, n, method, d, k_grid, seed, r) for r in range(reps)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_rep = list(pool.map(_rep_projectors_star, args))
     else:
         for r in range(reps):
-            per_rep.append(_rep_projectors(spec, n, method, d, k_grid, seed, r, eig_floor))
+            per_rep.append(_rep_projectors(spec, n, method, d, k_grid, seed, r))
 
     cells = []
     for pos, k in enumerate(k_grid):
@@ -234,7 +227,7 @@ def sweep(spec, n, method, d, k_grid, reps, seed, eig_floor=None, jobs=1, fitter
         variance = float(np.mean([frobenius_dist_sq(m, mean_mat) for m in mats]))
         mse = float(np.mean([frobenius_dist_sq(m, truth) for m in mats]))
         cells.append(SweepCell(k, bias_sq, variance, mse, len(mats), failures))
-    return SweepReport(method=method, d=d, reps=reps, k_grid=k_grid, cells=cells)
+    return SweepReport(method=method, d=d, reps=reps, cells=cells)
 
 
 def _rep_projectors_star(args):
@@ -301,50 +294,38 @@ def stratified_split(labels, test_fraction, seed):
 # classification protocol
 
 
-def _pipeline_auc(train_ds, train_labels, val_ds, val_labels, method, k, d,
-                  n_neighbors, eig_floor):
-    k_eff = None if method in _PCA_METHODS else min(int(k), train_ds.n)
-    f = fit(train_ds, method, k=k_eff, d=d, eig_floor=eig_floor)
-    scores = knn_scores(
-        f.transform(train_ds.x), train_labels, f.transform(val_ds.x), n_neighbors
-    )
-    return auc(scores, val_labels), f
-
-
 def cross_validate_k(ds, method, d, k_grid, folds, quantile_level, seed,
-                     n_neighbors=DEFAULT_NEIGHBORS, eig_floor=None,
-                     return_table=False):
+                     n_neighbors=DEFAULT_NEIGHBORS):
     """Pick k maximizing the held-out AUC of the reduce-then-classify pipeline.
 
     Labels are exceedances of the dataset's own empirical quantile at
-    ``quantile_level``; folds are stratified on that label.  k values are
-    tried in ascending order and ties keep the smallest k.  k is clamped to
-    the fold training size when necessary.
+    ``quantile_level``; folds are stratified on that label.  Each fold's
+    training part is prepared once and fitted at every k; k is clamped to
+    the fold training size when necessary.  Returns ``(best_k, table)`` with
+    the mean fold AUC per k; ties keep the smallest k.
     """
     threshold = empirical_quantile(ds.y, quantile_level)
     labels = ds.y > threshold
     fold_of = stratified_folds(labels, folds, seed)
-    k_values = sorted(int(k) for k in k_grid)
+    k_values = sorted({int(k) for k in k_grid})
     if not k_values:
         raise InvalidInputError("k_grid must be non-empty")
 
-    best_k, best_auc, table = None, -np.inf, {}
-    for k in k_values:
-        fold_aucs = []
-        for f_idx in range(folds):
-            val_mask = fold_of == f_idx
-            train_idx, val_idx = np.nonzero(~val_mask)[0], np.nonzero(val_mask)[0]
-            fold_auc, _ = _pipeline_auc(
-                ds.subset(train_idx), labels[train_idx],
-                ds.subset(val_idx), labels[val_idx],
-                method, k, d, n_neighbors, eig_floor,
+    fold_aucs = {k: [] for k in k_values}
+    for f_idx in range(folds):
+        val_mask = fold_of == f_idx
+        train_idx, val_idx = np.nonzero(~val_mask)[0], np.nonzero(val_mask)[0]
+        train_ds, val_ds = ds.subset(train_idx), ds.subset(val_idx)
+        prepared = PreparedFit(train_ds, method, d)
+        for k in k_values:
+            f = prepared.fit(min(k, train_ds.n))
+            scores = knn_scores(
+                f.transform(train_ds.x), labels[train_idx], f.transform(val_ds.x),
+                n_neighbors,
             )
-            fold_aucs.append(fold_auc)
-        mean_auc = float(np.mean(fold_aucs))
-        table[k] = mean_auc
-        if mean_auc > best_auc:
-            best_k, best_auc = k, mean_auc
-    return (best_k, table) if return_table else best_k
+            fold_aucs[k].append(auc(scores, labels[val_idx]))
+    table = {k: float(np.mean(aucs)) for k, aucs in fold_aucs.items()}
+    return max(k_values, key=table.__getitem__), table
 
 
 @dataclass(frozen=True)
@@ -401,19 +382,18 @@ class ClassificationReport:
 
 
 def classify_experiment(ds, methods, d, quantile_level, folds, seed,
-                        k_grid=None, n_neighbors=DEFAULT_NEIGHBORS,
-                        test_fraction=DEFAULT_TEST_FRACTION, eig_floor=None):
+                        k_grid=None, n_neighbors=DEFAULT_NEIGHBORS):
     """Tail-event classification benchmark on one dataset.
 
     Exceedance labels come from the empirical ``quantile_level``-quantile of
-    the full target; the data is split stratified (default 80/20).  Methods
+    the full target; the data is split stratified 80/20.  Methods
     with a free k choose it by stratified cross-validation on the training
     part; cume/cuve use the full training size and the PCA variants have no
     k.  A 5-neighbour vote on the reduced coordinates produces the scores.
     """
     threshold = empirical_quantile(ds.y, quantile_level)
     labels = ds.y > threshold
-    train_idx, test_idx = stratified_split(labels, test_fraction, seed)
+    train_idx, test_idx = stratified_split(labels, TEST_FRACTION, seed)
     train_ds, test_ds = ds.subset(train_idx), ds.subset(test_idx)
     train_labels, test_labels = labels[train_idx], labels[test_idx]
 
@@ -422,19 +402,13 @@ def classify_experiment(ds, methods, d, quantile_level, folds, seed,
 
     results = []
     for method in methods:
-        if method in ("tirex1", "tirex2"):
-            chosen_k = cross_validate_k(
+        k = None
+        if method in FREE_K_METHODS:
+            k, _ = cross_validate_k(
                 train_ds, method, d, k_grid, folds, quantile_level, seed,
-                n_neighbors=n_neighbors, eig_floor=eig_floor,
+                n_neighbors=n_neighbors,
             )
-            report_k = chosen_k
-        elif method in ("cume", "cuve"):
-            chosen_k = train_ds.n
-            report_k = train_ds.n
-        else:
-            chosen_k = None
-            report_k = None
-        f = fit(train_ds, method, k=chosen_k, d=d, eig_floor=eig_floor)
+        f = fit(train_ds, method, k=k, d=d)
         scores = knn_scores(
             f.transform(train_ds.x), train_labels, f.transform(test_ds.x), n_neighbors
         )
@@ -443,7 +417,7 @@ def classify_experiment(ds, methods, d, quantile_level, folds, seed,
                 method=method,
                 am_risk=am_risk(knn_predict(scores), test_labels),
                 auc=auc(scores, test_labels),
-                chosen_k=report_k,
+                chosen_k=f.k,
             )
         )
     baseline = am_risk(np.zeros(test_ds.n, dtype=bool), test_labels)

@@ -19,7 +19,6 @@ That isolates implementation error from model error.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -33,6 +32,10 @@ class IndependentNormalModel:
     """Target independent of N(0, I_p) covariates; all limits closed-form."""
 
     p: int = 3
+
+    def __post_init__(self):
+        if self.p < 1:
+            raise InvalidInputError(f"need p >= 1 covariates, got p={self.p}")
 
     def sample(self, n, rng):
         z = rng.standard_normal((n, self.p))
@@ -74,8 +77,8 @@ def population_Dn(generator, k, n, u, order=1):
 class ProcessCheckConfig:
     """Settings for one covariance check run.
 
-    nu and xi default to the generator's closed forms; u_grid must be
-    ascending within (0, 1] and k < n so the extreme fraction is proper.
+    nu and xi are the generator's closed forms; u_grid must be ascending
+    within (0, 1] and 1 <= k < n so the extreme fraction is proper.
     """
 
     generator: IndependentNormalModel
@@ -85,12 +88,10 @@ class ProcessCheckConfig:
     u_grid: tuple
     order: int = 1
     seed: int = 0
-    nu: Optional[np.ndarray] = None
-    xi: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not self.k < self.n:
-            raise InvalidInputError(f"need k < n, got k={self.k}, n={self.n}")
+        if not 1 <= self.k < self.n:
+            raise InvalidInputError(f"need 1 <= k < n, got k={self.k}, n={self.n}")
         if self.n_reps < 100:
             raise InvalidInputError("covariance check needs n_reps >= 100")
         if self.order not in (1, 2):
@@ -101,10 +102,6 @@ class ProcessCheckConfig:
         if list(grid) != sorted(grid):
             raise InvalidInputError("u_grid must be sorted ascending")
         object.__setattr__(self, "u_grid", grid)
-        if self.nu is None:
-            object.__setattr__(self, "nu", self.generator.nu(self.order))
-        if self.xi is None:
-            object.__setattr__(self, "xi", self.generator.xi(self.order))
 
 
 @dataclass(frozen=True)
@@ -235,7 +232,8 @@ def covariance_check(cfg):
             mean_entries.append(MeanCheckEntry(u, a, float(means[i, a]),
                                                float(mean_se[i, a]), bool(ok)))
 
-    limit_cov = np.asarray(cfg.xi) - np.outer(cfg.nu, cfg.nu)
+    nu = cfg.generator.nu(cfg.order)
+    limit_cov = cfg.generator.xi(cfg.order) - np.outer(nu, nu)
     centered = devs - means
     cov_entries = []
     for s in range(n_u):

@@ -359,15 +359,13 @@ def tci_ratios(spec, y, v, w):
 def expected_abs_R(spec, y, n_mc, seed):
     """Monte-Carlo estimate of E|R(y, V, W)| over covariate draws.
 
-    R does not involve W pointwise, but W is drawn anyway to mirror the
-    definition (and to keep draw counts aligned with tci_ratios sampling).
+    R does not involve W pointwise, so only V is drawn.
     """
     if n_mc < 1:
         raise InvalidInputError("n_mc must be >= 1")
     _check_tail_validity(spec, y)
     rng = rngmod.stream(seed, 3)
     v = spec.covariate_law.sample(rng, (n_mc, spec.p - spec.d))
-    spec.covariate_law.sample(rng, (n_mc, spec.d))  # W draw, unused by R
     s1 = s1_marginal(spec, y)
     s2 = s2_marginal(spec, y)
     den = spec.theta * s1 + (1.0 - spec.theta) * s2

@@ -13,15 +13,7 @@ import numpy as np
 import pytest
 
 from tirex.data import Dataset, descending_order, empirical_quantile
-from tirex.estimators import (
-    b_process,
-    c_process,
-    cume_matrix_oracle,
-    cuve_matrix_oracle,
-    fit,
-    tirex1_matrix,
-    tirex2_matrix,
-)
+from tirex.estimators import fit, tirex1_matrix, tirex2_matrix
 from tirex.evaluation import (
     am_risk,
     auc,
@@ -35,6 +27,8 @@ from tirex.process_verify import (
     covariance_check,
 )
 from tirex.synthetic import expected_abs_R, model_preset, sample, tci_ratios
+
+from oracles import b_process, c_process, cume_matrix_oracle, cuve_matrix_oracle
 
 
 def report(num, ok, detail):

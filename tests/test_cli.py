@@ -247,3 +247,75 @@ def test_console_script_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
+
+
+SWEEP_A = ["sweep", "--model", "A", "--n", "400", "--method", "tirex1", "--d", "1",
+           "--reps", "2", "--seed", "1"]
+VERIFY = ["verify-process", "--n", "400", "--k", "40", "--reps", "120", "--seed", "3"]
+CLASSIFY_A = ["classify", "--model", "A", "--n", "600", "--methods", "tirex1", "--d", "1",
+              "--quantile-level", "0.9", "--folds", "3", "--k-grid", "40", "--seed", "0"]
+ER = ["tci-ratio", "--model", "A", "--expected-abs-r", "--y-grid", "20", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv, config", [
+    (SWEEP_A + ["--k-grid", "a:b:c"], None),
+    (SWEEP_A + ["--k-grid", "10,x"], None),
+    (SWEEP_A + ["--k-grid", "1::3"], None),
+    (VERIFY + ["--u-grid", "a"], None),
+    (["tci-ratio", "--model", "C", "--y", "2.0", "--v", "x", "--w", "0"], None),
+    (["verify-process", "--n", "400", "--reps", "120", "--seed", "3"], {"k": "abc"}),
+    (["sweep", "--model", "A", "--n", "400", "--method", "tirex1", "--d", "1",
+      "--k-grid", "40", "--seed", "1"], {"reps": "x"}),
+    (["sweep", "--model", "A", "--n", "400", "--d", "1", "--k-grid", "40",
+      "--reps", "2", "--seed", "1"], {"method": "sir"}),
+    (["verify-process", "--n", "400", "--reps", "120", "--seed", "3"], {"k": [1, 2]}),
+    (["verify-process", "--n", "400", "--reps", "120", "--seed", "3"], {"k": 40.7}),
+])
+def test_parse_errors_exit_1_with_message(tmp_path, capsys, argv, config):
+    argv = argv + ["--out", str(tmp_path / "out")]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("tirex: error:")
+
+
+@pytest.mark.parametrize("argv", [
+    VERIFY + ["--p", "0"],
+    VERIFY[:3] + ["--k", "0"] + VERIFY[5:],
+    VERIFY[:3] + ["--k", "-5"] + VERIFY[5:],
+    VERIFY + ["--u-grid", ""],
+    CLASSIFY_A + ["--neighbors", "0"],
+    CLASSIFY_A + ["--quantile-level", "0"],
+    CLASSIFY_A + ["--folds", "0"],
+    CLASSIFY_A[:5] + ["--methods", ""] + CLASSIFY_A[7:],
+    ER + ["--n-mc", "0"],
+    SWEEP_A + ["--k-grid", ","],
+])
+def test_explicit_zero_or_empty_reaches_the_validators(tmp_path, capsys, argv):
+    # an explicit 0 (or empty list) used to be replaced by the default
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("tirex: error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_explicit_zero_ridge_is_the_default(tmp_path):
+    data = tmp_path / "a.csv"
+    run(["simulate", "--model", "A", "--n", "500", "--seed", "1", "--out", str(data)])
+    base = ["fit", "--in", str(data), "--method", "tirex1", "--k", "50"]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(base + ["--out", str(a)]) == 0
+    assert run(base + ["--ridge", "0", "--out", str(b)]) == 0
+    assert read(a) == read(b)
+
+
+def test_config_values_are_converted_like_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "A", "n": "400", "method": "tirex1", "d": "1",
+                               "k_grid": 40, "reps": "2", "seed": 5}))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(["sweep", "--config", str(cfg), "--out", str(a)]) == 0
+    assert run(["sweep", "--model", "A", "--n", "400", "--method", "tirex1", "--d", "1",
+                "--k-grid", "40", "--reps", "2", "--seed", "5", "--out", str(b)]) == 0
+    assert read(a) == read(b)

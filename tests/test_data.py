@@ -9,7 +9,6 @@ from tirex.data import (
     descending_order,
     empirical_quantile,
     load_csv,
-    rank_view,
     standardize,
     write_csv,
 )
@@ -159,25 +158,25 @@ def test_empirical_quantile_against_threshold_scan():
         assert empirical_quantile(values, u) == oracle
 
 
-def test_rank_view_examples():
+def test_descending_order_examples():
     ds = Dataset(x=np.zeros((3, 1)), y=np.array([1.0, 3.0, 2.0]))
-    assert rank_view(ds).order_desc.tolist() == [1, 2, 0]
+    assert descending_order(ds.y).tolist() == [1, 2, 0]
 
     ds = Dataset(x=np.zeros((3, 1)), y=np.array([2.0, 2.0, 1.0]))
-    assert rank_view(ds).order_desc.tolist() == [0, 1, 2]  # stable tie-break
+    assert descending_order(ds.y).tolist() == [0, 1, 2]  # stable tie-break
 
     y = np.arange(17.0)
     ds = Dataset(x=np.zeros((17, 1)), y=y)
-    assert rank_view(ds).order_desc.tolist() == list(range(16, -1, -1))
+    assert descending_order(ds.y).tolist() == list(range(16, -1, -1))
 
 
-def test_rank_view_monotone_transform_invariance():
+def test_descending_order_monotone_transform_invariance():
     rng = np.random.default_rng(9)
     y = rng.standard_normal(200)
     ds = Dataset(x=np.zeros((200, 1)), y=y)
     for g in (np.exp, lambda t: t**3, lambda t: 5 * t - 2, np.arctan):
         gds = Dataset(x=ds.x, y=g(y))
-        assert np.array_equal(rank_view(ds).order_desc, rank_view(gds).order_desc)
+        assert np.array_equal(descending_order(ds.y), descending_order(gds.y))
 
 
 def test_descending_order_handles_duplicates():

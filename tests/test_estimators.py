@@ -3,17 +3,10 @@ import pytest
 
 from tirex.data import Dataset, descending_order, standardize
 from tirex.errors import InvalidInputError
-from tirex.estimators import (
-    b_process,
-    c_process,
-    cume_matrix_oracle,
-    cuve_matrix_oracle,
-    fit,
-    pca_basis,
-    tirex1_matrix,
-    tirex2_matrix,
-)
+from tirex.estimators import fit, tirex1_matrix, tirex2_matrix
 from tirex.linalg import sym_eigen
+
+from oracles import b_process, c_process, cume_matrix_oracle, cuve_matrix_oracle
 
 
 def integral_oracle_tirex1(z, order, k):
@@ -105,26 +98,20 @@ def test_b_process_hand_enumeration():
     assert got[0, 0] == pytest.approx(4.0)
 
 
-def test_process_point_bundles_both_orders():
-    from tirex.estimators import process_point
-
+def test_processes_at_zero_and_piecewise_constant():
     rng = np.random.default_rng(6)
     z = rng.standard_normal((12, 2))
     y = rng.standard_normal(12)
     order = descending_order(y)
-    pt = process_point(z, order, 8, 0.0)
-    assert pt.u == 0.0
-    assert np.array_equal(pt.c, np.zeros(2))
-    assert np.array_equal(pt.b, np.zeros((2, 2)))
+    assert np.array_equal(c_process(z, order, 8, 0.0), np.zeros(2))
+    assert np.array_equal(b_process(z, order, 8, 0.0), np.zeros((2, 2)))
     # piecewise constant on ((j-1)/k, j/k]: anywhere inside a piece equals
     # the right endpoint
-    a = process_point(z, order, 8, 2.4 / 8)
-    bpt = process_point(z, order, 8, 2.999 / 8)
-    c = process_point(z, order, 8, 3.0 / 8)
-    assert np.array_equal(a.c, c.c) and np.array_equal(a.b, c.b)
-    assert np.array_equal(bpt.c, c.c)
-    d = process_point(z, order, 8, 2.0 / 8)
-    assert not np.array_equal(d.c, c.c)
+    c_end, b_end = c_process(z, order, 8, 3.0 / 8), b_process(z, order, 8, 3.0 / 8)
+    assert np.array_equal(c_process(z, order, 8, 2.4 / 8), c_end)
+    assert np.array_equal(b_process(z, order, 8, 2.4 / 8), b_end)
+    assert np.array_equal(c_process(z, order, 8, 2.999 / 8), c_end)
+    assert not np.array_equal(c_process(z, order, 8, 2.0 / 8), c_end)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +234,7 @@ def test_pca_basis_data_on_a_line():
     t = np.linspace(-1, 1, 20)
     x = np.stack([3 * t, -4 * t], axis=1)
     ds = Dataset(x=x + np.array([1.0, 2.0]), y=t)
-    b = pca_basis(ds, 1)
+    b = fit(ds, "pca", d=1).basis_raw
     direction = np.array([3.0, -4.0]) / 5.0
     assert np.abs(np.abs(b[:, 0] @ direction) - 1.0) < 1e-12
 
@@ -255,7 +242,7 @@ def test_pca_basis_data_on_a_line():
 def test_pca_basis_full_dimension():
     rng = np.random.default_rng(8)
     ds = Dataset(x=rng.standard_normal((50, 3)), y=rng.standard_normal(50))
-    b = pca_basis(ds, 3)
+    b = fit(ds, "pca", d=3).basis_raw
     assert np.abs(b.T @ b - np.eye(3)).max() < 1e-10
 
 
@@ -265,14 +252,14 @@ def test_pca_basis_hand_instance():
     m = x.mean(axis=0)
     cov = (x - m).T @ (x - m) / 4.0
     want = sym_eigen(cov).eigenvectors[:, :2]
-    got = pca_basis(ds, 2)
+    got = fit(ds, "pca", d=2).basis_raw
     assert np.allclose(got, want, atol=1e-12)
 
 
 def test_pca_basis_rejects_d_above_p():
     ds = Dataset(x=np.zeros((3, 2)) + np.arange(3.0)[:, None], y=np.arange(3.0))
     with pytest.raises(InvalidInputError):
-        pca_basis(ds, 3)
+        fit(ds, "pca", d=3)
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +358,26 @@ def test_fit_basis_raw_spans_whitener_image():
     # same span: projecting target onto raw leaves it unchanged
     proj = raw @ (raw.T @ target)
     assert np.abs(proj - target).max() < 1e-8
+
+
+def test_prepared_fit_matches_fit_at_every_k():
+    from tirex.estimators import PreparedFit
+
+    ds = small_dataset(10)
+    for method, d in [("tirex1", 1), ("tirex2", 2), ("cume", 1), ("cuve", 2),
+                      ("pca", 2), ("svd_pca", 1)]:
+        prepared = PreparedFit(ds, method, d=d)
+        for k in (1, 17, ds.n):
+            got, want = prepared.fit(k), fit(ds, method, k=k, d=d)
+            assert got.k == want.k
+            assert np.array_equal(got.candidate_matrix, want.candidate_matrix)
+            assert np.array_equal(got.basis_raw, want.basis_raw)
+            assert np.array_equal(got.projector_whitened.matrix,
+                                  want.projector_whitened.matrix)
+    assert PreparedFit(ds, "cuve", d=1).fit(5).k == ds.n
+    assert PreparedFit(ds, "pca", d=1).fit(5).k is None
+    with pytest.raises(InvalidInputError):
+        PreparedFit(ds, "tirex1").fit(ds.n + 1)
 
 
 def test_fit_transform_matches_whitened_projection():

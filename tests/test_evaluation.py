@@ -227,6 +227,8 @@ def test_sweep_rejects_bad_args():
         sweep(spec, 50, "tirex1", 1, [5], reps=1, seed=0)
     with pytest.raises(InvalidInputError):
         sweep(spec, 50, "tirex1", 1, [0], reps=2, seed=0)
+    with pytest.raises(InvalidInputError):
+        sweep(spec, 50, "tirex1", 1, [], reps=2, seed=0)
 
 
 def test_sweep_csv_columns():
@@ -290,16 +292,32 @@ def labeled_dataset(seed=0, n=600):
 
 def test_cross_validate_single_k():
     ds, _ = labeled_dataset()
-    k = cross_validate_k(ds, "tirex1", 1, [40], folds=3, quantile_level=0.9, seed=0)
+    k, _ = cross_validate_k(ds, "tirex1", 1, [40], folds=3, quantile_level=0.9, seed=0)
     assert k == 40
 
 
 def test_cross_validate_k_independent_pipeline_takes_smallest():
     ds, _ = labeled_dataset(1)
     k, table = cross_validate_k(ds, "pca", 1, [30, 90, 200], folds=3,
-                                quantile_level=0.9, seed=0, return_table=True)
+                                quantile_level=0.9, seed=0)
     assert k == 30
     assert len(set(table.values())) == 1  # k never entered the pipeline
+
+
+def test_cross_validate_k_prepares_each_fold_once(monkeypatch):
+    import tirex.estimators
+
+    calls = []
+    real = tirex.estimators.standardize
+
+    def counting(ds, **kwargs):
+        calls.append(ds.n)
+        return real(ds, **kwargs)
+
+    monkeypatch.setattr(tirex.estimators, "standardize", counting)
+    ds, _ = labeled_dataset(2)
+    cross_validate_k(ds, "tirex1", 1, [30, 90, 300], folds=3, quantile_level=0.9, seed=5)
+    assert len(calls) == 3
 
 
 def test_cross_validate_k_deterministic():
@@ -317,7 +335,7 @@ def test_cross_validate_k_golden_regression():
     spec, _ = model_preset("A")
     ds = sample(spec, 3000, seed=21)
     k, table = cross_validate_k(ds, "tirex1", 1, [464, 2000], folds=5,
-                                quantile_level=0.95, seed=21, return_table=True)
+                                quantile_level=0.95, seed=21)
     assert k == 464
     assert table[464] == pytest.approx(0.8107777777777777, abs=1e-12)
     assert table[2000] == pytest.approx(0.7691754385964913, abs=1e-12)

@@ -38,6 +38,11 @@ def test_config_validation():
         ProcessCheckConfig(gen, n=100, k=10, n_reps=200, u_grid=(0.7, 0.3))
     with pytest.raises(InvalidInputError):
         ProcessCheckConfig(gen, n=100, k=10, n_reps=200, u_grid=(0.0, 0.5))
+    for k in (0, -5):
+        with pytest.raises(InvalidInputError):
+            ProcessCheckConfig(gen, n=100, k=k, n_reps=200, u_grid=(0.5,))
+    with pytest.raises(InvalidInputError):
+        IndependentNormalModel(p=0)
 
 
 def test_second_order_xi_wick_pairings():
@@ -59,7 +64,7 @@ def test_process_values_match_direct_definition():
     grid = [0.3, 0.7, 1.0]
     vals = _process_values(z, y, k, grid, order=1)
     from tirex.data import descending_order
-    from tirex.estimators import c_process
+    from oracles import c_process
 
     order = descending_order(y)
     for i, u in enumerate(grid):
