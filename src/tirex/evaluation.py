@@ -31,6 +31,8 @@ from .synthetic import sample, true_projector
 
 DEFAULT_NEIGHBORS = 5
 TEST_FRACTION = 0.2
+# distances held at once by knn_scores (2 MiB of float64)
+KNN_CHUNK_ELEMENTS = 2**18
 
 
 # ---------------------------------------------------------------------------
@@ -71,11 +73,19 @@ def auc(scores, truth):
 
 
 def knn_scores(train_pts, train_labels, query_pts, n_neighbors=DEFAULT_NEIGHBORS):
-    """Fraction of positive labels among the Euclidean-nearest training points.
+    """Fraction of positive (nonzero) labels among the ``n_neighbors``
+    Euclidean-nearest training points.
 
-    Distance ties resolve to the smaller training index (stable sort); the
+    Distance ties at the boundary resolve to the smaller training index; the
     hard prediction downstream is score > 0.5, so a tied 0.5 vote predicts
-    negative.
+    negative.  The neighbours are selected, not sorted: per query, a partial
+    selection finds the ``n_neighbors``-th smallest squared distance, every
+    strictly closer point is taken, and the remaining places go to the points
+    at exactly that distance in index order.  That is O(n_train * (d + 1))
+    per query instead of the O(n_train log n_train) of a full sort, and the
+    chosen set is the one a stable sort would put first.  Queries run in
+    chunks of about ``KNN_CHUNK_ELEMENTS`` distances, which bounds the
+    working set.
     """
     tp = np.asarray(train_pts, dtype=float)
     qp = np.asarray(query_pts, dtype=float)
@@ -87,20 +97,25 @@ def knn_scores(train_pts, train_labels, query_pts, n_neighbors=DEFAULT_NEIGHBORS
         raise InvalidInputError("empty training set")
     if qp.shape[1] != tp.shape[1]:
         raise InvalidInputError("query and training points must share a dimension")
-    labels = np.asarray(train_labels).astype(float)
-    if labels.shape[0] != tp.shape[0]:
+    positive = np.asarray(train_labels).astype(bool)
+    if positive.shape[0] != tp.shape[0]:
         raise InvalidInputError("one training label per training point required")
     if not (1 <= n_neighbors <= tp.shape[0]):
         raise InvalidInputError(
             f"n_neighbors must lie in [1, {tp.shape[0]}], got {n_neighbors}"
         )
+    m = n_neighbors
     out = np.empty(qp.shape[0])
-    chunk = max(1, int(2**22 // max(1, tp.shape[0])))
+    chunk = max(1, KNN_CHUNK_ELEMENTS // tp.shape[0])
     for start in range(0, qp.shape[0], chunk):
         block = qp[start : start + chunk]
         d2 = ((block[:, None, :] - tp[None, :, :]) ** 2).sum(axis=-1)
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, :n_neighbors]
-        out[start : start + chunk] = labels[nearest].mean(axis=1)
+        kth = np.partition(d2, m - 1, axis=1)[:, m - 1, None].copy()
+        taken, tied = d2 < kth, d2 == kth
+        del d2  # before the int64 cumsum, which is as large
+        need = m - np.count_nonzero(taken, axis=1)
+        taken |= tied & (np.cumsum(tied, axis=1) <= need[:, None])
+        out[start : start + chunk] = np.count_nonzero(taken & positive, axis=1) / m
     return out
 
 
@@ -189,11 +204,14 @@ def sweep(spec, n, method, d, k_grid, reps, seed, jobs=1, fitter=None):
     (k, rep) cells and are counted.  ``fitter`` is a test hook mapping
     (dataset, k) to a projector matrix in place of the real pipeline
     (single-process only).
-    ``jobs`` > 1 fans replications out to worker processes; results reduce in
-    replication order, so the output is independent of scheduling.
+    ``jobs`` must be >= 1; above 1 it fans replications out to worker
+    processes, and results reduce in replication order, so the output is
+    independent of scheduling.
     """
     if reps < 2:
         raise InvalidInputError("sweep needs reps >= 2")
+    if jobs < 1:
+        raise InvalidInputError(f"jobs must be >= 1, got {jobs}")
     k_grid = [int(k) for k in k_grid]
     if not k_grid:
         raise InvalidInputError("k_grid must be non-empty")
@@ -388,8 +406,10 @@ def classify_experiment(ds, methods, d, quantile_level, folds, seed,
     Exceedance labels come from the empirical ``quantile_level``-quantile of
     the full target; the data is split stratified 80/20.  Methods
     with a free k choose it by stratified cross-validation on the training
-    part; cume/cuve use the full training size and the PCA variants have no
-    k.  A 5-neighbour vote on the reduced coordinates produces the scores.
+    part, clamped to the training size like the per-fold fits (``chosen_k``
+    is the k actually fitted); cume/cuve use the full training size and the
+    PCA variants have no k.  An ``n_neighbors`` vote on the reduced
+    coordinates produces the scores.
     """
     threshold = empirical_quantile(ds.y, quantile_level)
     labels = ds.y > threshold
@@ -408,6 +428,7 @@ def classify_experiment(ds, methods, d, quantile_level, folds, seed,
                 train_ds, method, d, k_grid, folds, quantile_level, seed,
                 n_neighbors=n_neighbors,
             )
+            k = min(k, train_ds.n)
         f = fit(train_ds, method, k=k, d=d)
         scores = knn_scores(
             f.transform(train_ds.x), train_labels, f.transform(test_ds.x), n_neighbors

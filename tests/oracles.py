@@ -80,3 +80,24 @@ def cuve_matrix_oracle(z, y):
     ind = (yt[None, :] <= yt[:, None]).astype(float)
     w = np.einsum("ai,ijk->ajk", ind, grads) / n
     return symmetrize(np.einsum("ajk,alk->jl", w, w) / n)
+
+
+def knn_scores_oracle(train_pts, train_labels, query_pts, n_neighbors):
+    """Full-sort k-NN vote: a stable sort of every distance row puts the
+    nearest training points first, ties in index order.  The reference for
+    the partial selection in ``tirex.evaluation.knn_scores``."""
+    tp = np.asarray(train_pts, dtype=float)
+    qp = np.asarray(query_pts, dtype=float)
+    if tp.ndim == 1:
+        tp = tp[:, None]
+    if qp.ndim == 1:
+        qp = qp[:, None]
+    labels = np.asarray(train_labels).astype(float)
+    out = np.empty(qp.shape[0])
+    chunk = max(1, int(2**22 // max(1, tp.shape[0])))
+    for start in range(0, qp.shape[0], chunk):
+        block = qp[start : start + chunk]
+        d2 = ((block[:, None, :] - tp[None, :, :]) ** 2).sum(axis=-1)
+        nearest = np.argsort(d2, axis=1, kind="stable")[:, :n_neighbors]
+        out[start : start + chunk] = labels[nearest].mean(axis=1)
+    return out

@@ -193,6 +193,15 @@ def test_classify_from_csv_input(tmp_path):
     assert out.read_text().startswith("method,")
 
 
+def test_classify_clamps_cv_k_to_training_size(tmp_path):
+    out = tmp_path / "c.csv"
+    assert run(["classify", "--model", "A", "--n", "1000", "--methods", "tirex1",
+                "--d", "1", "--quantile-level", "0.9", "--folds", "3",
+                "--k-grid", "5000", "--seed", "1", "--out", str(out)]) == 0
+    # the CV pick is clamped to the 800 training rows that the final fit uses
+    assert out.read_text().splitlines()[1].endswith(",800")
+
+
 def test_sweep_jobs_flag_matches_serial(tmp_path):
     base = ["sweep", "--model", "A", "--n", "400", "--method", "tirex1",
             "--d", "1", "--k-grid", "40,200", "--reps", "4", "--seed", "2"]
@@ -292,6 +301,8 @@ def test_parse_errors_exit_1_with_message(tmp_path, capsys, argv, config):
     CLASSIFY_A[:5] + ["--methods", ""] + CLASSIFY_A[7:],
     ER + ["--n-mc", "0"],
     SWEEP_A + ["--k-grid", ","],
+    SWEEP_A + ["--k-grid", "40", "--jobs", "0"],
+    SWEEP_A + ["--k-grid", "40", "--jobs", "-3"],
 ])
 def test_explicit_zero_or_empty_reaches_the_validators(tmp_path, capsys, argv):
     # an explicit 0 (or empty list) used to be replaced by the default

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,8 @@ from tirex.evaluation import (
     sweep,
 )
 from tirex.synthetic import model_preset, true_projector
+
+from oracles import knn_scores_oracle
 
 # ---------------------------------------------------------------------------
 # AM risk
@@ -166,6 +170,40 @@ def test_knn_predictions_invariant_under_rotation():
 
 def test_knn_score_half_predicts_negative():
     assert not knn_predict(np.array([0.5]))[0]
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("n_neighbors", [1, 37, 600])
+def test_knn_selection_matches_full_sort_oracle(d, n_neighbors):
+    # integer grids make ties at the boundary distance the common case;
+    # 600 x 1560 distances span several query chunks
+    rng = np.random.default_rng(10 * d + n_neighbors)
+    train = rng.integers(-3, 4, size=(600, d)).astype(float)
+    labels = rng.random(600) < 0.3
+    queries = np.concatenate([
+        rng.integers(-4, 5, size=(500, d)).astype(float),
+        train[::2],
+        rng.integers(-4, 4, size=(500, d)) + 0.5,
+        rng.standard_normal((260, d)),
+    ])
+    got = knn_scores(train, labels, queries, n_neighbors)
+    assert np.array_equal(got, knn_scores_oracle(train, labels, queries, n_neighbors))
+
+
+def test_knn_working_set_is_a_few_chunks():
+    # the classify-A final-fit shape: 3200 training points, 800 queries
+    rng = np.random.default_rng(0)
+    train, queries = rng.standard_normal((3200, 1)), rng.standard_normal((800, 1))
+    labels = rng.random(3200) < 0.1
+    tracemalloc.start()
+    try:
+        knn_scores(train, labels, queries, 51)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # five float64 arrays of 2**18 elements (10 MiB), about half of the
+    # 19.5 MiB full 800 x 3200 distance matrix
+    assert peak < 5 * 8 * 2**18
 
 
 # ---------------------------------------------------------------------------
