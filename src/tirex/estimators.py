@@ -9,8 +9,11 @@ over u in [0, 1] collapse to closed forms over prefix sums:
     M1 = (1/k^3) sum_{j<=k} S_j S_j^T,    S_j = sum_{i<=j} z_(i)
     M2 = (1/k^3) sum_{j<=k} T_j T_j^T,    T_j = sum_{i<=j} (z_(i) z_(i)^T - I)
 
-computed incrementally, which costs O(n log n) for the sort plus O(k p^2)
-(first order) or O(k p^3) (second order, matrix-product form).  Choosing
+computed incrementally in blocks of rows, each a running cumulative sum and
+one matrix product (BLAS), which costs O(n log n) for the sort plus
+O(k p^2) (first order) or O(k p^3) (second order).  A whole k grid is one
+pass: every grid k ends a block and snapshots the running sum, so the grid
+costs O(k_max p^2) or O(k_max p^3) once, not once per k.  Choosing
 k = n recovers the classical cumulative slicing matrices (CUME / CUVE); both
 identities are enforced here and cross-checked against brute-force double
 sums in the tests.
@@ -22,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .data import descending_order, standardize
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalError
 from .linalg import (
     EigenDecomposition,
     Projector,
@@ -39,7 +42,7 @@ FREE_K_METHODS = ("tirex1", "tirex2")
 _K_FORCED_TO_N = ("cume", "cuve")
 _PCA_METHODS = ("pca", "svd_pca")
 
-_BLOCK = 1024
+_BLOCK = 256
 
 
 def _order_indices(order, n):
@@ -54,38 +57,53 @@ def _check_k(k, n):
         raise InvalidInputError(f"k must satisfy 1 <= k <= n={n}, got {k}")
 
 
+def _prefix_grams(z, order, ks, second_order):
+    """Candidate matrices (1/k^3) sum_{j<=k} T_j T_j^T for every k of ``ks``
+    (ascending) in one pass over the target-ordered rows.
+
+    The increments of the prefix sums T_j have shape (r, p): the row z_(j)
+    (r = 1, first order) or z_(j) z_(j)^T - I (r = p, second order).  Rows
+    run in blocks of at most ``_BLOCK``: a running cumulative sum, then one
+    matrix product over the block's stacked prefix rows.  Every k of the
+    grid ends a block and snapshots the running Gram matrix, so the whole
+    grid costs O(k_max p^2) or O(k_max p^3) once, and memory stays at
+    O(_BLOCK r p).
+    """
+    z = np.asarray(z, dtype=float)
+    n, p = z.shape
+    idx = _order_indices(order, n)
+    eye = np.eye(p)
+    total = np.zeros((p, p))
+    running = np.zeros((p if second_order else 1, p))
+    out = []
+    start = 0
+    for k in ks:
+        _check_k(k, n)
+        while start < k:
+            stop = min(start + _BLOCK, k)
+            zb = z[idx[start:stop]]
+            steps = zb[:, :, None] * zb[:, None, :] - eye if second_order else zb[:, None, :]
+            # seeding the first step keeps the running sum sequential across blocks
+            steps[0] += running
+            prefixes = np.cumsum(steps, axis=0)
+            running = prefixes[-1]
+            flat = prefixes.reshape(-1, p)
+            total += flat.T @ flat
+            start = stop
+        out.append(symmetrize(total / float(k) ** 3))
+    return out
+
+
 def tirex1_matrix(z, order, k):
     """First-order candidate matrix (1/k^3) sum_j S_j S_j^T over prefix sums
-    of target-ordered covariate rows.  Positive semi-definite, rank <= min(k, p)."""
-    z = np.asarray(z, dtype=float)
-    n = z.shape[0]
-    _check_k(k, n)
-    idx = _order_indices(order, n)
-    prefixes = np.cumsum(z[idx[:k]], axis=0)
-    return symmetrize(prefixes.T @ prefixes / float(k) ** 3)
+    S_j of target-ordered covariate rows.  Positive semi-definite, rank <= min(k, p)."""
+    return _prefix_grams(z, order, [k], second_order=False)[0]
 
 
 def tirex2_matrix(z, order, k):
     """Second-order candidate matrix (1/k^3) sum_j T_j T_j^T with symmetric
-    p x p accumulants T_j = sum_{i<=j} (z_(i) z_(i)^T - I).
-
-    Runs in blocks so memory stays at O(block * p^2) for large k.
-    """
-    z = np.asarray(z, dtype=float)
-    n, p = z.shape
-    _check_k(k, n)
-    idx = _order_indices(order, n)
-    zk = z[idx[:k]]
-    eye = np.eye(p)
-    total = np.zeros((p, p))
-    running = np.zeros((p, p))
-    for start in range(0, k, _BLOCK):
-        zb = zk[start : start + _BLOCK]
-        grads = np.einsum("ji,jl->jil", zb, zb) - eye
-        t_block = running + np.cumsum(grads, axis=0)
-        total += np.einsum("jab,jcb->ac", t_block, t_block)
-        running = t_block[-1]
-    return symmetrize(total / float(k) ** 3)
+    p x p accumulants T_j = sum_{i<=j} (z_(i) z_(i)^T - I)."""
+    return _prefix_grams(z, order, [k], second_order=True)[0]
 
 
 @dataclass(frozen=True)
@@ -182,10 +200,11 @@ class PreparedFit:
 
     The covariates are whitened and the target is sorted here, once, so each
     ``fit(k)`` costs only the O(k p^2) (first-order) or O(k p^3)
-    (second-order) candidate matrix and a p x p eigensolve.  The PCA variants
-    have no k and are fitted here outright.  Raises InvalidInputError for an
-    unknown method or a bad d, and NumericalError when the covariance cannot
-    be whitened.
+    (second-order) candidate matrix and a p x p eigensolve, and ``fit_grid``
+    builds the candidate matrices of a whole k grid in one pass.  The PCA
+    variants have no k and are fitted here outright.  Raises
+    InvalidInputError for an unknown method or a bad d, and NumericalError
+    when the covariance cannot be whitened.
     """
 
     def __init__(self, ds, method, d=None, eig_floor=None, ridge=0.0):
@@ -194,6 +213,7 @@ class PreparedFit:
         if not (1 <= d <= ds.p):
             raise InvalidInputError(f"d must satisfy 1 <= d <= p={ds.p}, got {d}")
         self.method, self.d, self.n = method, d, ds.n
+        self._first_order = method in ("tirex1", "cume")
         if method in _PCA_METHODS:
             self._pca = _pca_fit(ds, method, d)
         else:
@@ -206,10 +226,30 @@ class PreparedFit:
         k = _effective_k(self.method, k, self.n)
         if k is None:  # a PCA variant
             return self._pca
-        if self.method in ("tirex1", "cume"):
-            candidate = tirex1_matrix(self._std.z, self._order, k)
-        else:
-            candidate = tirex2_matrix(self._std.z, self._order, k)
+        matrix = tirex1_matrix if self._first_order else tirex2_matrix
+        return self._fit_candidate(k, matrix(self._std.z, self._order, k))
+
+    def fit_grid(self, k_grid):
+        """The fits at every k of ``k_grid`` (any order, repeats allowed), one
+        entry per grid position, with the candidate matrices built in one
+        pass.  An entry whose eigensolve failed holds the NumericalError it
+        raised, so a failure spoils only its own k."""
+        ks = [_effective_k(self.method, k, self.n) for k in k_grid]
+        if self.method in _PCA_METHODS:
+            return [self._pca] * len(ks)
+        distinct = sorted(set(ks))
+        candidates = _prefix_grams(
+            self._std.z, self._order, distinct, second_order=not self._first_order
+        )
+        fits = {}
+        for k, candidate in zip(distinct, candidates):
+            try:
+                fits[k] = self._fit_candidate(k, candidate)
+            except NumericalError as exc:
+                fits[k] = exc
+        return [fits[k] for k in ks]
+
+    def _fit_candidate(self, k, candidate):
         eig = sym_eigen(candidate)
         basis_w = eig.eigenvectors[:, :self.d].copy()
         return SdrFit(

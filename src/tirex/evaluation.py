@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import rng as rngmod
 from .data import empirical_quantile
@@ -68,7 +67,13 @@ def auc(scores, truth):
     n_neg = t.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise InvalidInputError("AUC undefined: truth contains a single class")
-    ranks = rankdata(s)
+    # midranks: each run of tied scores shares the mean of its 1-based ranks
+    order = np.argsort(s, kind="stable")
+    ordered = s[order]
+    run_start = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    run_end = np.r_[run_start[1:], s.size]
+    ranks = np.empty(s.size)
+    ranks[order] = np.repeat(0.5 * (run_start + run_end + 1), run_end - run_start)
     return float((ranks[t].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
@@ -187,13 +192,8 @@ def _rep_projectors(spec, n, method, d, k_grid, seed, rep):
         prepared = PreparedFit(ds, method, d)
     except NumericalError:
         return [None] * len(k_grid)
-    out = []
-    for k in k_grid:
-        try:
-            out.append(prepared.fit(k).projector_whitened.matrix)
-        except NumericalError:
-            out.append(None)
-    return out
+    return [None if isinstance(f, NumericalError) else f.projector_whitened.matrix
+            for f in prepared.fit_grid(k_grid)]
 
 
 def sweep(spec, n, method, d, k_grid, reps, seed, jobs=1, fitter=None):
@@ -334,9 +334,12 @@ def cross_validate_k(ds, method, d, k_grid, folds, quantile_level, seed,
         val_mask = fold_of == f_idx
         train_idx, val_idx = np.nonzero(~val_mask)[0], np.nonzero(val_mask)[0]
         train_ds, val_ds = ds.subset(train_idx), ds.subset(val_idx)
-        prepared = PreparedFit(train_ds, method, d)
-        for k in k_values:
-            f = prepared.fit(min(k, train_ds.n))
+        fits = PreparedFit(train_ds, method, d).fit_grid(
+            [min(k, train_ds.n) for k in k_values]
+        )
+        for k, f in zip(k_values, fits):
+            if isinstance(f, NumericalError):
+                raise f
             scores = knn_scores(
                 f.transform(train_ds.x), labels[train_idx], f.transform(val_ds.x),
                 n_neighbors,

@@ -1,24 +1,17 @@
 """Dense symmetric linear algebra: eigendecomposition, inverse square root,
 orthogonal projectors and Frobenius distances.
 
-All routines are deterministic: the eigensolver is a cyclic Jacobi sweep
-(adequate and exact-enough for the moderate dimensions used here, p <~ 150),
-eigenvector signs follow a fixed rule and eigenvalue ties are broken by a
-lexicographic rule on the sign-normalized eigenvectors.  Everything is pure
-and reentrant; no global state.
+All routines are deterministic: the eigensolver is LAPACK's symmetric
+driver (``numpy.linalg.eigh``), eigenvector signs follow a fixed rule and
+eigenvalue ties are broken by a lexicographic rule on the sign-normalized
+eigenvectors.  Everything is pure and reentrant; no global state.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError, RankDeficiencyError
-
-# Jacobi convergence: off-diagonal Frobenius norm relative to the input norm.
-# <= (not <) so the zero matrix converges immediately.
-_JACOBI_RTOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
 
 # First eigenvector entry with magnitude above this is forced positive.
 _SIGN_RULE_TOL = 1e-12
@@ -65,57 +58,6 @@ def _check_finite(m, what):
         raise InvalidInputError(f"{what} contains non-finite entries")
 
 
-def _jacobi(a):
-    """Cyclic Jacobi diagonalization of a symmetric matrix (in place).
-
-    Returns (diagonal values, accumulated rotation matrix). Raises
-    ConvergenceError after the sweep cap, which for symmetric input of this
-    size never triggers in practice.
-    """
-    dim = a.shape[0]
-    v = np.eye(dim)
-    if dim == 1:
-        return np.array([a[0, 0]]), v
-    tol = _JACOBI_RTOL * np.linalg.norm(a)
-    # entries this small cannot push the off-diagonal norm above tol
-    skip = tol / dim
-    idx = np.arange(dim)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        # off-diagonal Frobenius norm, summed directly (the subtraction
-        # sum(a^2) - sum(diag^2) cancels catastrophically near convergence)
-        offdiag = a - np.diag(np.diag(a))
-        off = math.sqrt(np.sum(offdiag * offdiag))
-        if off <= tol:
-            return np.diag(a).copy(), v
-        for p in range(dim - 1):
-            for q in range(p + 1, dim):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                # Rutishauser's stable rotation angle
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                app, aqq = a[p, p], a[q, q]
-                others = idx[(idx != p) & (idx != q)]
-                aop, aoq = a[others, p], a[others, q]
-                a[others, p] = a[p, others] = c * aop - s * aoq
-                a[others, q] = a[q, others] = s * aop + c * aoq
-                a[p, p] = c * c * app - 2.0 * s * c * apq + s * s * aqq
-                a[q, q] = s * s * app + 2.0 * s * c * apq + c * c * aqq
-                a[p, q] = a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    raise ConvergenceError(
-        f"Jacobi eigensolver did not converge within {_JACOBI_MAX_SWEEPS} sweeps"
-    )
-
-
 def _apply_sign_rule(vecs):
     """Flip eigenvector columns so the first entry above 1e-12 is positive."""
     vecs = vecs.copy()
@@ -133,11 +75,15 @@ def sym_eigen(m):
     The input is symmetrized by averaging first.  Eigenvalues come out
     descending; exact ties are ordered by the lexicographically larger
     sign-normalized eigenvector first, so repeated runs and permuted inputs
-    give reproducible output.
+    give reproducible output.  Raises ConvergenceError when LAPACK does not
+    converge.
     """
     m = symmetrize(m)
     _check_finite(m, "matrix")
-    vals, vecs = _jacobi(m.copy())
+    try:
+        vals, vecs = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"symmetric eigensolver did not converge: {exc}") from exc
     vecs = _apply_sign_rule(vecs)
     order = sorted(range(len(vals)), key=lambda j: (-vals[j], tuple(-vecs[:, j])))
     return EigenDecomposition(

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import rng as rngmod
 from .data import Dataset
@@ -64,6 +63,8 @@ class UniformLaw:
         dividing the peak out first keeps the quadrature well-scaled, the
         factor is re-applied exactly afterwards.
         """
+        from scipy.integrate import quad  # here, so importing tirex loads no scipy
+
         peak = sf(self.b)
         if peak == 0.0 or not math.isfinite(peak):
             return 0.0

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from tirex.cli import run
@@ -81,6 +82,24 @@ def test_fit_rank_deficiency_is_exit_2(tmp_path):
     code = run(["fit", "--in", str(data), "--method", "tirex1", "--k", "5",
                 "--d", "1", "--out", str(tmp_path / "f.json")])
     assert code == 2
+
+
+def test_fit_eigensolver_failure_is_exit_2(tmp_path, monkeypatch, capsys):
+    import tirex.linalg
+
+    data = tmp_path / "a.csv"
+    assert run(["simulate", "--model", "A", "--n", "200", "--seed", "1",
+                "--out", str(data)]) == 0
+
+    def fail(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(tirex.linalg.np.linalg, "eigh", fail)
+    code = run(["fit", "--in", str(data), "--method", "tirex1", "--k", "50",
+                "--d", "1", "--out", str(tmp_path / "f.json")])
+    assert code == 2
+    assert "did not converge" in capsys.readouterr().err
+    assert not (tmp_path / "f.json").exists()
 
 
 def test_fit_missing_file_is_exit_1(tmp_path, capsys):
@@ -249,6 +268,16 @@ def test_tci_ratio_config_can_enable_expectation_mode(tmp_path):
     out = tmp_path / "er.json"
     assert run(["tci-ratio", "--config", str(cfg), "--out", str(out)]) == 0
     assert "expected_abs_r" in json.loads(out.read_text())
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is imported only where tci-ratio integrates numerically; loading
+    # it at import time would add its start-up to every CLI call
+    code = ("import sys, tirex.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_entry_point():

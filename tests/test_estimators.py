@@ -380,6 +380,37 @@ def test_prepared_fit_matches_fit_at_every_k():
         PreparedFit(ds, "tirex1").fit(ds.n + 1)
 
 
+@pytest.mark.parametrize("method", ["tirex1", "tirex2"])
+def test_fit_grid_matches_per_k_fits_and_integral_oracle(method):
+    from tirex.estimators import _BLOCK, PreparedFit
+
+    ds = small_dataset(4, n=_BLOCK + 40)
+    z, order = standardize(ds).z, descending_order(ds.y)
+    oracle = integral_oracle_tirex1 if method == "tirex1" else integral_oracle_tirex2
+    prepared = PreparedFit(ds, method, d=2)
+    for grid in ([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, ds.n],
+                 [_BLOCK + 1, 7, ds.n, 7, 1, _BLOCK + 1, _BLOCK - 1]):
+        fits = prepared.fit_grid(grid)
+        assert [f.k for f in fits] == grid
+        for k, f in zip(grid, fits):
+            for want in (prepared.fit(k).candidate_matrix, oracle(z, order, k)):
+                scale = np.abs(want).max()
+                assert np.abs(f.candidate_matrix - want).max() <= 1e-12 * scale, k
+
+
+def test_fit_grid_pins_k_for_cume_cuve_and_ignores_it_for_pca():
+    from tirex.estimators import PreparedFit
+
+    ds = small_dataset(5)
+    for method, d in [("cume", 1), ("cuve", 2), ("pca", 2), ("svd_pca", 1)]:
+        prepared = PreparedFit(ds, method, d=d)
+        want = prepared.fit()
+        for f in prepared.fit_grid([3, ds.n, 3]):
+            assert f.k == want.k
+            assert np.array_equal(f.candidate_matrix, want.candidate_matrix)
+            assert np.array_equal(f.basis_raw, want.basis_raw)
+
+
 def test_fit_transform_matches_whitened_projection():
     ds = small_dataset(9)
     f = fit(ds, "tirex1", k=12, d=1)

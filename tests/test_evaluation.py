@@ -104,6 +104,21 @@ def test_auc_matches_pair_counting_with_ties(n, seed):
     assert auc(scores, truth) == pytest.approx(auc_pair_counting(scores, truth), abs=1e-12)
 
 
+def test_auc_equals_scipy_rankdata_formula_exactly():
+    from scipy.stats import rankdata
+
+    rng = np.random.default_rng(8)
+    for n in [2, 3, 17, 51, 400, 2000]:
+        for scores in (rng.integers(0, 6, n) / 5.0, np.full(n, 0.4), rng.standard_normal(n)):
+            truth = rng.random(n) < 0.3
+            truth[0], truth[1] = True, False
+            n_pos = int(truth.sum())
+            ranks = rankdata(scores)
+            want = float((ranks[truth].sum() - n_pos * (n_pos + 1) / 2.0)
+                         / (n_pos * (n - n_pos)))
+            assert auc(scores, truth) == want
+
+
 def test_auc_negation_and_monotone_invariance():
     rng = np.random.default_rng(2)
     scores = rng.standard_normal(60)  # continuous, tie-free
@@ -249,6 +264,29 @@ def test_sweep_counts_numerical_failures():
     cell = report.cells[0]
     assert cell.failures > 0
     assert cell.reps_ok + cell.failures == 30
+
+
+def test_sweep_eigensolver_failure_spoils_only_its_cell(monkeypatch):
+    import tirex.linalg
+
+    # per replication the eigensolves run in this order: the whitening, then
+    # the candidate matrices in ascending k; call 2 is k = 60 of replication 0
+    real, calls = np.linalg.eigh, []
+
+    def fail_once(m):
+        calls.append(m.shape)
+        if len(calls) == 3:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(m)
+
+    spec, _ = model_preset("A")
+    want = sweep(spec, 200, "tirex1", 1, [60, 20], reps=3, seed=3)
+    monkeypatch.setattr(tirex.linalg.np.linalg, "eigh", fail_once)
+    got = sweep(spec, 200, "tirex1", 1, [60, 20], reps=3, seed=3)
+    assert len(calls) == 9
+    assert got.cell(20) == want.cell(20)
+    assert (got.cell(60).reps_ok, got.cell(60).failures) == (2, 1)
+    assert np.isfinite(got.cell(60).mse)
 
 
 def test_sweep_parallel_matches_serial():

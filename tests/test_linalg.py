@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tirex.errors import InvalidInputError, RankDeficiencyError
+import tirex.linalg
+from tirex.errors import ConvergenceError, InvalidInputError, RankDeficiencyError
 from tirex.linalg import (
     frobenius_dist_sq,
     inv_sqrt,
@@ -43,6 +44,15 @@ def test_sym_eigen_2x2_closed_form():
 def test_sym_eigen_rejects_nonfinite():
     with pytest.raises(InvalidInputError):
         sym_eigen(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
+def test_sym_eigen_maps_lapack_failure_to_convergence_error(monkeypatch):
+    def fail(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(tirex.linalg.np.linalg, "eigh", fail)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        sym_eigen(np.eye(3))
 
 
 def test_sym_eigen_deterministic():
