@@ -61,7 +61,6 @@ from .process_verify import (
     ProcessCheckConfig,
     ProcessCheckReport,
     covariance_check,
-    population_Dn,
 )
 from .synthetic import (
     BernoulliLaw,

@@ -135,8 +135,9 @@ def _parse_k_grid(text):
     return _parse_list(text, int, "--k-grid")
 
 
-def _resolve_spec(args):
-    """MixtureSpec and sample size from --model preset or --spec file."""
+def _model_spec(args):
+    """MixtureSpec from --model preset or --spec file, and its default sample
+    size (the preset's; None for a spec file)."""
     model = getattr(args, "model", None)
     spec_path = getattr(args, "spec", None)
     if (model is None) == (spec_path is None):
@@ -152,9 +153,13 @@ def _resolve_spec(args):
         except (KeyError, json.JSONDecodeError) as exc:
             raise InvalidInputError(f"{spec_path}: bad spec file ({exc})") from None
         preset_n = None
-    n = getattr(args, "n", None)
-    if n is None:
-        n = preset_n
+    return spec, preset_n
+
+
+def _resolve_spec(args):
+    """MixtureSpec and sample size (--n, else the preset's) to sample from."""
+    spec, n = _model_spec(args)
+    n = _or_default(getattr(args, "n", None), n)
     if n is None:
         raise InvalidInputError("--n is required with --spec")
     return spec, int(n)
@@ -260,7 +265,7 @@ def _cmd_verify_process(args):
 
 
 def _cmd_tci_ratio(args):
-    spec, _n = _resolve_spec(args)
+    spec, _ = _model_spec(args)
     out = {}
     if args.expected_abs_r:
         _require(args, "seed", "y_grid")

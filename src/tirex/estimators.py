@@ -57,12 +57,21 @@ def _check_k(k, n):
         raise InvalidInputError(f"k must satisfy 1 <= k <= n={n}, got {k}")
 
 
+def tail_increments(rows, second_order):
+    """The summands of the tail processes, shape (m, r, p): each covariate
+    row z as a 1 x p block (first order, r = 1) or z z^T - I (second order,
+    r = p).  The first-order result is a view of ``rows``."""
+    rows = np.asarray(rows, dtype=float)
+    if second_order:
+        return rows[:, :, None] * rows[:, None, :] - np.eye(rows.shape[1])
+    return rows[:, None, :]
+
+
 def _prefix_grams(z, order, ks, second_order):
     """Candidate matrices (1/k^3) sum_{j<=k} T_j T_j^T for every k of ``ks``
     (ascending) in one pass over the target-ordered rows.
 
-    The increments of the prefix sums T_j have shape (r, p): the row z_(j)
-    (r = 1, first order) or z_(j) z_(j)^T - I (r = p, second order).  Rows
+    The increments of the prefix sums T_j are ``tail_increments``.  Rows
     run in blocks of at most ``_BLOCK``: a running cumulative sum, then one
     matrix product over the block's stacked prefix rows.  Every k of the
     grid ends a block and snapshots the running Gram matrix, so the whole
@@ -72,7 +81,6 @@ def _prefix_grams(z, order, ks, second_order):
     z = np.asarray(z, dtype=float)
     n, p = z.shape
     idx = _order_indices(order, n)
-    eye = np.eye(p)
     total = np.zeros((p, p))
     running = np.zeros((p if second_order else 1, p))
     out = []
@@ -81,8 +89,7 @@ def _prefix_grams(z, order, ks, second_order):
         _check_k(k, n)
         while start < k:
             stop = min(start + _BLOCK, k)
-            zb = z[idx[start:stop]]
-            steps = zb[:, :, None] * zb[:, None, :] - eye if second_order else zb[:, None, :]
+            steps = tail_increments(z[idx[start:stop]], second_order)
             # seeding the first step keeps the running sum sequential across blocks
             steps[0] += running
             prefixes = np.cumsum(steps, axis=0)

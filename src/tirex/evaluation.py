@@ -17,6 +17,7 @@ rates) and the AUC.
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -184,6 +185,20 @@ class SweepReport:
         raise KeyError(k)
 
 
+def sweep_cell(k, projectors, truth):
+    """Bias^2 / variance / MSE at one k of the replications' projector
+    matrices against ``truth``; a None entry is a failed replication."""
+    mats = [m for m in projectors if m is not None]
+    failures = len(projectors) - len(mats)
+    if not mats:
+        return SweepCell(k, float("nan"), float("nan"), float("nan"), 0, failures)
+    mean_mat = np.mean(mats, axis=0)
+    bias_sq = frobenius_dist_sq(truth, mean_mat)
+    variance = float(np.mean([frobenius_dist_sq(m, mean_mat) for m in mats]))
+    mse = float(np.mean([frobenius_dist_sq(m, truth) for m in mats]))
+    return SweepCell(k, bias_sq, variance, mse, len(mats), failures)
+
+
 def _rep_projectors(spec, n, method, d, k_grid, seed, rep):
     """Projector matrices for one replication, one entry per grid position
     (None marks a numerical failure)."""
@@ -196,17 +211,14 @@ def _rep_projectors(spec, n, method, d, k_grid, seed, rep):
             for f in prepared.fit_grid(k_grid)]
 
 
-def sweep(spec, n, method, d, k_grid, reps, seed, jobs=1, fitter=None):
+def sweep(spec, n, method, d, k_grid, reps, seed, jobs=1):
     """Estimate bias^2 / variance / MSE of the fitted projector per k.
 
     Replication r draws its own sample (stream r of the seed), prepared once
     and shared across the whole k grid; numerical failures abort single
-    (k, rep) cells and are counted.  ``fitter`` is a test hook mapping
-    (dataset, k) to a projector matrix in place of the real pipeline
-    (single-process only).
-    ``jobs`` must be >= 1; above 1 it fans replications out to worker
-    processes, and results reduce in replication order, so the output is
-    independent of scheduling.
+    (k, rep) cells and are counted (see ``sweep_cell``).  ``jobs`` must be
+    >= 1; above 1 it fans replications out to worker processes, and results
+    reduce in replication order, so the output is independent of scheduling.
     """
     if reps < 2:
         raise InvalidInputError("sweep needs reps >= 2")
@@ -220,36 +232,15 @@ def sweep(spec, n, method, d, k_grid, reps, seed, jobs=1, fitter=None):
             raise InvalidInputError(f"k={k} outside [1, n={n}]")
     truth = true_projector(spec).matrix
 
-    per_rep = []
-    if fitter is not None:
-        for r in range(reps):
-            ds = sample(spec, n, seed, stream=r)
-            per_rep.append([np.asarray(fitter(ds, k), dtype=float) for k in k_grid])
-    elif jobs > 1:
-        args = [(spec, n, method, d, k_grid, seed, r) for r in range(reps)]
+    rep_projectors = partial(_rep_projectors, spec, n, method, d, k_grid, seed)
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_rep = list(pool.map(_rep_projectors_star, args))
+            per_rep = list(pool.map(rep_projectors, range(reps)))
     else:
-        for r in range(reps):
-            per_rep.append(_rep_projectors(spec, n, method, d, k_grid, seed, r))
-
-    cells = []
-    for pos, k in enumerate(k_grid):
-        mats = [per_rep[r][pos] for r in range(reps) if per_rep[r][pos] is not None]
-        failures = reps - len(mats)
-        if not mats:
-            cells.append(SweepCell(k, float("nan"), float("nan"), float("nan"), 0, failures))
-            continue
-        mean_mat = np.mean(mats, axis=0)
-        bias_sq = frobenius_dist_sq(truth, mean_mat)
-        variance = float(np.mean([frobenius_dist_sq(m, mean_mat) for m in mats]))
-        mse = float(np.mean([frobenius_dist_sq(m, truth) for m in mats]))
-        cells.append(SweepCell(k, bias_sq, variance, mse, len(mats), failures))
+        per_rep = list(map(rep_projectors, range(reps)))
+    cells = [sweep_cell(k, [mats[pos] for mats in per_rep], truth)
+             for pos, k in enumerate(k_grid)]
     return SweepReport(method=method, d=d, reps=reps, cells=cells)
-
-
-def _rep_projectors_star(args):
-    return _rep_projectors(*args)
 
 
 def geometric_k_grid(lo, hi, count):

@@ -48,10 +48,6 @@ class Projector:
     matrix: np.ndarray
     rank: int
 
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
 
 def _check_finite(m, what):
     if not np.all(np.isfinite(m)):
@@ -102,14 +98,17 @@ def inv_sqrt(m, eig_floor=None, ridge=0.0):
 
     Every eigenvalue must be >= ``eig_floor`` (default: 1e-10 times the
     largest); otherwise a RankDeficiencyError naming the offending eigenvalue
-    is raised -- there is no silent pseudo-inverse.  ``ridge`` > 0 adds
-    ridge * I before decomposition as an explicit opt-in regularization.
+    is raised -- there is no silent pseudo-inverse.  An explicit floor must be
+    finite and > 0.  ``ridge`` > 0 adds ridge * I before decomposition as an
+    explicit opt-in regularization; it must be finite and >= 0.
     """
+    if eig_floor is not None and not (np.isfinite(eig_floor) and eig_floor > 0):
+        raise InvalidInputError(f"eig_floor must be finite and > 0, got {eig_floor}")
+    if not (np.isfinite(ridge) and ridge >= 0):
+        raise InvalidInputError(f"ridge must be finite and >= 0, got {ridge}")
     m = symmetrize(m)
     _check_finite(m, "matrix")
     if ridge:
-        if ridge < 0:
-            raise InvalidInputError("ridge must be >= 0")
         m = m + ridge * np.eye(m.shape[0])
     eig = sym_eigen(m)
     floor = default_eig_floor(eig.eigenvalues) if eig_floor is None else float(eig_floor)

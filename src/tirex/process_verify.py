@@ -4,7 +4,8 @@ For a covariate map h with q components, the centered, scaled process
 sqrt(k) * (D_hat_n(u) - D_n(u)) converges to a mean-zero Gaussian process
 with covariance (s ^ t) * (Xi - nu nu^T), where nu and Xi are the limits of
 the first and second conditional moments of h given the target's rank falling
-in the extreme fraction.  This module simulates replications of the process
+in the extreme fraction.  D_hat_n sums the estimators' own
+``tail_increments``.  This module simulates replications of the process
 on a u-grid and compares empirical means and cross-covariances entrywise
 against the limit, gating each entry at four Monte-Carlo standard errors.
 Four SEs per entry without multiplicity correction makes this a diagnostic
@@ -12,10 +13,11 @@ gate, not a formal hypothesis test; with a few hundred entries occasional
 borderline excursions are expected under a wrong implementation much more
 than under a correct one.
 
-The stock verification model draws the target independent of standard normal
-covariates, for which every limit quantity is exact: nu = 0, Xi = I for the
-first-order process, and Xi given by Wick pairings for the second-order one.
-That isolates implementation error from model error.
+The verification model draws the target independent of standard normal
+covariates, for which every limit quantity is exact: D_n = 0 and nu = 0, so
+the centered process is sqrt(k) * D_hat_n itself; Xi = I for the first-order
+process, and Xi is given by Wick pairings for the second-order one.  That
+isolates implementation error from model error.
 """
 
 from dataclasses import dataclass
@@ -25,11 +27,13 @@ import numpy as np
 from . import rng as rngmod
 from .data import ceil_index, descending_order
 from .errors import InvalidInputError
+from .estimators import tail_increments
 
 
 @dataclass(frozen=True)
 class IndependentNormalModel:
-    """Target independent of N(0, I_p) covariates; all limits closed-form."""
+    """Target independent of N(0, I_p) covariates: D_n = 0 and nu = 0
+    exactly, and Xi has a closed form."""
 
     p: int = 3
 
@@ -42,16 +46,6 @@ class IndependentNormalModel:
         y = rng.standard_normal(n)
         return z, y
 
-    def population_dn(self, u, k, n, order):
-        """Exact D_n(u): zero for both process orders, for every u, by
-        independence and the moment identities E[Z] = 0, E[ZZ^T] = I."""
-        q = self.p if order == 1 else self.p * self.p
-        return np.zeros(q)
-
-    def nu(self, order):
-        q = self.p if order == 1 else self.p * self.p
-        return np.zeros(q)
-
     def xi(self, order):
         if order == 1:
             return np.eye(self.p)
@@ -62,23 +56,13 @@ class IndependentNormalModel:
         return xi.reshape(p * p, p * p)
 
 
-def population_Dn(generator, k, n, u, order=1):
-    """Population process value D_n(u) for generators with a closed form."""
-    if not hasattr(generator, "population_dn"):
-        raise InvalidInputError(
-            f"{type(generator).__name__} has no closed-form population process"
-        )
-    if order not in (1, 2):
-        raise InvalidInputError("order must be 1 or 2")
-    return generator.population_dn(u, k, n, order)
-
-
 @dataclass(frozen=True)
 class ProcessCheckConfig:
     """Settings for one covariance check run.
 
-    nu and xi are the generator's closed forms; u_grid must be ascending
-    within (0, 1] and 1 <= k < n so the extreme fraction is proper.
+    The generator is exact with nu = 0 and D_n = 0, and supplies Xi.
+    u_grid must be ascending within (0, 1], each u at or past the first
+    breakpoint 1/k, and 1 <= k < n so the extreme fraction is proper.
     """
 
     generator: IndependentNormalModel
@@ -101,6 +85,8 @@ class ProcessCheckConfig:
             raise InvalidInputError("u_grid values must lie in (0, 1]")
         if list(grid) != sorted(grid):
             raise InvalidInputError("u_grid must be sorted ascending")
+        if ceil_index(self.k * grid[0]) < 1:
+            raise InvalidInputError(f"u_grid values must be >= 1/k = {1 / self.k!r}")
         object.__setattr__(self, "u_grid", grid)
 
 
@@ -185,43 +171,33 @@ class ProcessCheckReport:
 
 
 def _process_values(z, y, k, u_grid, order):
-    """D_hat_n(u) on the grid from one sample: prefix sums of h over rows
-    ordered by descending target, divided by k."""
-    idx = descending_order(y)[:k]
-    zk = z[idx]
-    if order == 1:
-        h = zk
-    else:
-        p = z.shape[1]
-        h = (np.einsum("ji,jl->jil", zk, zk) - np.eye(p)).reshape(k, p * p)
-    prefixes = np.cumsum(h, axis=0)
-    out = np.empty((len(u_grid), h.shape[1]))
-    for i, u in enumerate(u_grid):
-        m = min(ceil_index(k * u), k)
-        out[i] = prefixes[m - 1] / k if m >= 1 else 0.0
-    return out
+    """D_hat_n(u) on the grid from one sample: prefix sums of the tail
+    increments over rows ordered by descending target, divided by k, one
+    row per u (the second-order p x p values flattened)."""
+    rows = z[descending_order(y)[:k]]
+    prefixes = np.cumsum(tail_increments(rows, order == 2).reshape(k, -1), axis=0)
+    return prefixes[[min(ceil_index(k * u), k) - 1 for u in u_grid]] / k
 
 
 def covariance_check(cfg):
     """Simulate the scaled process and gate mean and covariance entrywise.
 
-    Replication r uses stream (seed, 4, r).  Empirical cross-covariances over
-    the u-grid are compared to (u_s ^ u_t)(Xi - nu nu^T); the per-entry
-    standard error is estimated from the spread of the centered cross
-    products across replications.
+    Replication r uses stream (seed, 4, r).  The model has D_n = 0 and
+    nu = 0, so the replications are sqrt(k) * D_hat_n and their empirical
+    cross-covariances over the u-grid are compared to (u_s ^ u_t) Xi; the
+    per-entry standard error is estimated from the spread of the centered
+    cross products across replications.
     """
     grid = list(cfg.u_grid)
     n_u = len(grid)
-    dn = [population_Dn(cfg.generator, cfg.k, cfg.n, u, cfg.order) for u in grid]
-    q = dn[0].shape[0]
+    limit_cov = cfg.generator.xi(cfg.order)
+    q = limit_cov.shape[0]
     scale = np.sqrt(cfg.k)
 
     devs = np.empty((cfg.n_reps, n_u, q))
     for r in range(cfg.n_reps):
-        rng = rngmod.stream(cfg.seed, 4, r)
-        z, y = cfg.generator.sample(cfg.n, rng)
-        hat = _process_values(z, y, cfg.k, grid, cfg.order)
-        devs[r] = scale * (hat - np.asarray(dn))
+        z, y = cfg.generator.sample(cfg.n, rngmod.stream(cfg.seed, 4, r))
+        devs[r] = scale * _process_values(z, y, cfg.k, grid, cfg.order)
 
     mean_entries = []
     means = devs.mean(axis=0)
@@ -232,8 +208,6 @@ def covariance_check(cfg):
             mean_entries.append(MeanCheckEntry(u, a, float(means[i, a]),
                                                float(mean_se[i, a]), bool(ok)))
 
-    nu = cfg.generator.nu(cfg.order)
-    limit_cov = cfg.generator.xi(cfg.order) - np.outer(nu, nu)
     centered = devs - means
     cov_entries = []
     for s in range(n_u):

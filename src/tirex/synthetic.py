@@ -23,7 +23,8 @@ coordinates suffice in the tail.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -42,7 +43,6 @@ class UniformLaw:
 
     a: float
     b: float
-    kind: str = field(default="uniform", init=False)
 
     def __post_init__(self):
         if not (0.0 <= self.a < self.b):
@@ -84,7 +84,6 @@ class BernoulliLaw:
     """Covariate components iid Bernoulli(tau) on {0, 1}."""
 
     tau: float
-    kind: str = field(default="bernoulli", init=False)
 
     def __post_init__(self):
         if not (0.0 <= self.tau <= 1.0):
@@ -107,12 +106,28 @@ class BernoulliLaw:
 CovariateLaw = Union[UniformLaw, BernoulliLaw]
 
 
+def _check_mapping(d, what):
+    if not isinstance(d, dict):
+        raise InvalidInputError(f"{what} must be a JSON object, got {type(d).__name__}")
+
+
+def _field(d, key, convert):
+    """d[key] through ``convert``; a value of the wrong type or form raises
+    InvalidInputError (a missing key stays a KeyError)."""
+    try:
+        return convert(d[key])
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInputError(f"invalid value {d[key]!r} for {key!r}") from None
+
+
 def law_from_dict(d):
+    """Inverse of the laws' to_dict()."""
+    _check_mapping(d, "covariate law")
     kind = d.get("kind")
     if kind == "uniform":
-        return UniformLaw(a=float(d["a"]), b=float(d["b"]))
+        return UniformLaw(a=_field(d, "a", float), b=_field(d, "b", float))
     if kind == "bernoulli":
-        return BernoulliLaw(tau=float(d["tau"]))
+        return BernoulliLaw(tau=_field(d, "tau", float))
     raise InvalidInputError(f"unknown covariate law kind {kind!r}")
 
 
@@ -173,15 +188,19 @@ class MixtureSpec:
 
     @staticmethod
     def from_dict(d):
+        """Inverse of to_dict(); a value of the wrong type or form raises
+        InvalidInputError, a missing key KeyError."""
+        _check_mapping(d, "spec")
+        weights = partial(np.asarray, dtype=float)
         return MixtureSpec(
-            p=int(d["p"]),
-            d=int(d["d"]),
-            theta=float(d["theta"]),
-            alpha1=float(d["alpha1"]),
-            alpha2=float(d["alpha2"]),
+            p=_field(d, "p", int),
+            d=_field(d, "d", int),
+            theta=_field(d, "theta", float),
+            alpha1=_field(d, "alpha1", float),
+            alpha2=_field(d, "alpha2", float),
             covariate_law=law_from_dict(d["covariate_law"]),
-            pi1=np.asarray(d["pi1"], dtype=float) if "pi1" in d else None,
-            pi2=np.asarray(d["pi2"], dtype=float) if "pi2" in d else None,
+            pi1=_field(d, "pi1", weights) if "pi1" in d else None,
+            pi2=_field(d, "pi2", weights) if "pi2" in d else None,
         )
 
 

@@ -359,3 +359,54 @@ def test_config_values_are_converted_like_flags(tmp_path):
     assert run(["sweep", "--model", "A", "--n", "400", "--method", "tirex1", "--d", "1",
                 "--k-grid", "40", "--reps", "2", "--seed", "5", "--out", str(b)]) == 0
     assert read(a) == read(b)
+
+
+GOOD_SPEC = {"p": 2, "d": 1, "theta": 0.5, "alpha1": 10.0, "alpha2": 10.0,
+             "covariate_law": {"kind": "uniform", "a": 1.0, "b": 10.0}}
+
+
+@pytest.mark.parametrize("spec", [
+    dict(GOOD_SPEC, p="x"),
+    [GOOD_SPEC],
+    dict(GOOD_SPEC, covariate_law="uniform"),
+    dict(GOOD_SPEC, pi1="abc"),
+])
+def test_malformed_spec_file_exits_1_with_message(tmp_path, capsys, spec):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "o.csv"
+    assert run(["simulate", "--spec", str(path), "--n", "10", "--seed", "1",
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("tirex: error:")
+    assert not out.exists()
+
+
+def test_tci_ratio_spec_needs_no_n(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(GOOD_SPEC))
+    point = ["tci-ratio", "--spec", str(path), "--y", "20", "--v", "1", "--w", "1"]
+    assert run(point) == 0
+    without_n = json.loads(capsys.readouterr().out)
+    assert run(point + ["--n", "10"]) == 0
+    with_n = json.loads(capsys.readouterr().out)
+    assert (without_n["r"], without_n["r_tilde"]) == (with_n["r"], with_n["r_tilde"])
+
+
+@pytest.mark.parametrize("flag", [
+    "--eig-floor=0", "--eig-floor=-1", "--eig-floor=nan",
+    "--ridge=-1", "--ridge=nan", "--ridge=inf",
+])
+def test_fit_bad_floor_or_ridge_is_a_user_error(tmp_path, capsys, flag):
+    # the option is blamed, on a healthy and on a singular covariance alike
+    healthy, flat = tmp_path / "a.csv", tmp_path / "flat.csv"
+    assert run(["simulate", "--model", "A", "--n", "200", "--seed", "1",
+                "--out", str(healthy)]) == 0
+    flat.write_text("x1,x2,y\n" + "".join(f"1.0,{i},{i}\n" for i in range(20)))
+    name = flag[2:].split("=")[0].replace("-", "_")
+    for data in (healthy, flat):
+        out = tmp_path / "f.json"
+        assert run(["fit", "--in", str(data), "--method", "tirex1", "--k", "5",
+                    flag, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("tirex: error:") and name in err
+        assert not out.exists()

@@ -3,7 +3,7 @@ import pytest
 
 from tirex.data import Dataset, descending_order, standardize
 from tirex.errors import InvalidInputError
-from tirex.estimators import fit, tirex1_matrix, tirex2_matrix
+from tirex.estimators import fit, tail_increments, tirex1_matrix, tirex2_matrix
 from tirex.linalg import sym_eigen
 
 from oracles import b_process, c_process, cume_matrix_oracle, cuve_matrix_oracle
@@ -417,3 +417,13 @@ def test_fit_transform_matches_whitened_projection():
     std = standardize(ds)
     want = std.z @ f.basis_whitened
     assert np.allclose(f.transform(ds.x), want, atol=1e-12)
+
+
+def test_tail_increments_are_the_process_summands():
+    rng = np.random.default_rng(4)
+    z = rng.standard_normal((7, 3))
+    first, second = tail_increments(z, False), tail_increments(z, True)
+    assert first.shape == (7, 1, 3) and second.shape == (7, 3, 3)
+    assert np.array_equal(first[:, 0, :], z)
+    for j in range(7):
+        assert np.array_equal(second[j], np.outer(z[j], z[j]) - np.eye(3))

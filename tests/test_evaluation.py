@@ -17,6 +17,7 @@ from tirex.evaluation import (
     stratified_folds,
     stratified_split,
     sweep,
+    sweep_cell,
 )
 from tirex.synthetic import model_preset, true_projector
 
@@ -228,9 +229,8 @@ def test_knn_working_set_is_a_few_chunks():
 def test_sweep_oracle_fitter_zero_error():
     spec, _ = model_preset("A")
     truth = true_projector(spec).matrix
-    report = sweep(spec, 50, "tirex1", 1, [5, 10], reps=4, seed=0,
-                   fitter=lambda ds, k: truth)
-    for cell in report.cells:
+    for k in (5, 10):
+        cell = sweep_cell(k, [truth] * 4, truth)
         assert cell.bias_sq == 0.0
         assert cell.variance == 0.0
         assert cell.mse == 0.0
@@ -240,9 +240,7 @@ def test_sweep_oracle_fitter_zero_error():
 def test_sweep_fixed_wrong_projector():
     spec, _ = model_preset("A")
     wrong = np.diag([1.0, 0.0])  # orthogonal to the true e2 e2^T
-    report = sweep(spec, 50, "tirex1", 1, [5], reps=3, seed=0,
-                   fitter=lambda ds, k: wrong)
-    cell = report.cells[0]
+    cell = sweep_cell(5, [wrong] * 3, true_projector(spec).matrix)
     assert cell.variance == 0.0
     assert cell.bias_sq == pytest.approx(2.0)
     assert cell.mse == pytest.approx(2.0)

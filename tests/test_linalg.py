@@ -111,6 +111,18 @@ def test_inv_sqrt_ridge_rescues_singular_matrix():
     assert np.allclose(w, np.diag([(1 + 1e-4) ** -0.5, 1e2]), rtol=1e-10)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(eig_floor=0.0), dict(eig_floor=-1.0), dict(eig_floor=float("nan")),
+    dict(eig_floor=float("inf")),
+    dict(ridge=-1.0), dict(ridge=float("nan")), dict(ridge=float("inf")),
+])
+def test_inv_sqrt_rejects_bad_floor_or_ridge(kwargs):
+    # checked before the matrix, so a singular one gets the same answer
+    for m in (np.eye(2), np.diag([1.0, 0.0])):
+        with pytest.raises(InvalidInputError):
+            inv_sqrt(m, **kwargs)
+
+
 def test_inv_sqrt_whitens_spd_matrices():
     rng = np.random.default_rng(7)
     for _ in range(25):

@@ -8,24 +8,8 @@ from tirex.process_verify import (
     ProcessCheckConfig,
     _process_values,
     covariance_check,
-    population_Dn,
 )
 from tirex import rng as rngmod
-
-
-def test_population_dn_zero_for_independent_model():
-    gen = IndependentNormalModel(p=3)
-    for u in (0.0, 0.2, 1.0):
-        assert np.array_equal(population_Dn(gen, 50, 500, u, order=1), np.zeros(3))
-        assert np.array_equal(population_Dn(gen, 50, 500, u, order=2), np.zeros(9))
-
-
-def test_population_dn_requires_closed_form():
-    class Opaque:
-        pass
-
-    with pytest.raises(InvalidInputError):
-        population_Dn(Opaque(), 10, 100, 0.5)
 
 
 def test_config_validation():
@@ -41,6 +25,9 @@ def test_config_validation():
     for k in (0, -5):
         with pytest.raises(InvalidInputError):
             ProcessCheckConfig(gen, n=100, k=k, n_reps=200, u_grid=(0.5,))
+    # k * u rounds to 0: the grid point lies before the first breakpoint 1/k
+    with pytest.raises(InvalidInputError):
+        ProcessCheckConfig(gen, n=100, k=10, n_reps=200, u_grid=(1e-12, 0.5))
     with pytest.raises(InvalidInputError):
         IndependentNormalModel(p=0)
 
@@ -63,12 +50,16 @@ def test_process_values_match_direct_definition():
     k = 10
     grid = [0.3, 0.7, 1.0]
     vals = _process_values(z, y, k, grid, order=1)
+    vals2 = _process_values(z, y, k, grid, order=2)
     from tirex.data import descending_order
-    from oracles import c_process
+    from oracles import b_process, c_process
 
     order = descending_order(y)
+    assert vals2.shape == (len(grid), 4)
     for i, u in enumerate(grid):
         assert np.allclose(vals[i], c_process(z, order, k, u), atol=1e-15)
+        assert np.allclose(vals2[i], b_process(z, order, k, u).reshape(4),
+                           rtol=1e-12, atol=1e-15)
 
 
 def test_rank_equivalence_bitwise():
