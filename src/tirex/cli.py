@@ -171,6 +171,17 @@ def _resolve_spec(args):
 
 def _cmd_simulate(args):
     _require(args, "seed", "out")
+    try:
+        sidecar_path = Path(args.out).with_suffix(".json")
+    except ValueError:  # '', '.' or '/': no file name to give a suffix
+        raise InvalidInputError(f"--out {args.out!r} is not a file path") from None
+    # refuse before writing anything: the sidecar must not replace an input
+    for flag in ("out", "spec", "config"):
+        path = getattr(args, flag, None)
+        if path is not None and Path(path).resolve() == sidecar_path.resolve():
+            raise InvalidInputError(
+                f"the JSON sidecar {str(sidecar_path)!r} of --out would overwrite --{flag}"
+            )
     spec, n = _resolve_spec(args)
     stream = _or_default(args.stream, 0)
     ds = sample(spec, n, args.seed, stream=stream)
@@ -182,7 +193,7 @@ def _cmd_simulate(args):
         "stream": stream,
         "spec": spec.to_dict(),
     }
-    _dump_json(sidecar, Path(args.out).with_suffix(".json"))
+    _dump_json(sidecar, sidecar_path)
     return 0
 
 

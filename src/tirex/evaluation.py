@@ -87,11 +87,26 @@ def knn_scores(train_pts, train_labels, query_pts, n_neighbors=DEFAULT_NEIGHBORS
     negative.  The neighbours are selected, not sorted: per query, a partial
     selection finds the ``n_neighbors``-th smallest squared distance, every
     strictly closer point is taken, and the remaining places go to the points
-    at exactly that distance in index order.  That is O(n_train * (d + 1))
-    per query instead of the O(n_train log n_train) of a full sort, and the
-    chosen set is the one a stable sort would put first.  Queries run in
-    chunks of about ``KNN_CHUNK_ELEMENTS`` distances, which bounds the
-    working set.
+    at exactly that distance in index order.  The chosen set is the one a
+    stable sort of the distances would put first.
+
+    In one dimension (finite coordinates) the training points are sorted once
+    per call, and the m = ``n_neighbors`` nearest points of a query lie
+    within m sorted positions on either side of its insertion point.  The
+    selection then runs on that window of min(2m, n_train) points, which is
+    O(log n_train + m) per query.  A tie run at the m-th distance may
+    continue past the window: when the first point outside it on either side
+    is no farther than the m-th distance, the query takes the brute-force
+    path instead, so tie-heavy inputs (integer-valued covariates) stay exact
+    and cost what a full scan costs.
+
+    The brute-force path compares every query with every training point,
+    O(n_train * (d + 1)) per query.  For d <= 7 it adds the squared column
+    differences one column at a time, which is bit-identical to numpy's
+    in-order sum of such short rows; from d = 8 on numpy's sum groups the
+    terms differently, and that sum is kept so that the tie sets do not
+    move.  Both paths run the queries in chunks of about
+    ``KNN_CHUNK_ELEMENTS`` distances, which bounds the working set.
     """
     tp = np.asarray(train_pts, dtype=float)
     qp = np.asarray(query_pts, dtype=float)
@@ -110,12 +125,28 @@ def knn_scores(train_pts, train_labels, query_pts, n_neighbors=DEFAULT_NEIGHBORS
         raise InvalidInputError(
             f"n_neighbors must lie in [1, {tp.shape[0]}], got {n_neighbors}"
         )
-    m = n_neighbors
+    if tp.shape[1] == 1 and np.isfinite(tp).all() and np.isfinite(qp).all():
+        return _knn_window(tp[:, 0], positive, qp[:, 0], n_neighbors)
+    return _knn_brute(tp, positive, qp, n_neighbors)
+
+
+def _sq_distances(block, tp):
+    """Squared Euclidean distances, one row per query in ``block``, equal bit
+    for bit to ``((block[:, None, :] - tp[None, :, :]) ** 2).sum(axis=-1)``:
+    numpy adds rows of up to 7 terms in order, as the column loop does."""
+    if tp.shape[1] > 7:
+        return ((block[:, None, :] - tp[None, :, :]) ** 2).sum(axis=-1)
+    d2 = (block[:, 0, None] - tp[:, 0]) ** 2
+    for j in range(1, tp.shape[1]):
+        d2 += (block[:, j, None] - tp[:, j]) ** 2
+    return d2
+
+
+def _knn_brute(tp, positive, qp, m):
     out = np.empty(qp.shape[0])
     chunk = max(1, KNN_CHUNK_ELEMENTS // tp.shape[0])
     for start in range(0, qp.shape[0], chunk):
-        block = qp[start : start + chunk]
-        d2 = ((block[:, None, :] - tp[None, :, :]) ** 2).sum(axis=-1)
+        d2 = _sq_distances(qp[start : start + chunk], tp)
         kth = np.partition(d2, m - 1, axis=1)[:, m - 1, None].copy()
         taken, tied = d2 < kth, d2 == kth
         del d2  # before the int64 cumsum, which is as large
@@ -123,6 +154,52 @@ def knn_scores(train_pts, train_labels, query_pts, n_neighbors=DEFAULT_NEIGHBORS
         taken |= tied & (np.cumsum(tied, axis=1) <= need[:, None])
         out[start : start + chunk] = np.count_nonzero(taken & positive, axis=1) / m
     return out
+
+
+def _knn_window(t, positive, q, m):
+    n = t.size
+    order = np.argsort(t, kind="stable")
+    ts = t[order]
+    width = min(2 * m, n)
+    lo = np.clip(np.searchsorted(ts, q) - m, 0, n - width)
+    out = np.empty(q.size)
+    spill = np.zeros(q.size, dtype=bool)
+    chunk = max(1, KNN_CHUNK_ELEMENTS // width)
+    for start in range(0, q.size, chunk):
+        part = slice(start, start + chunk)
+        out[part], spill[part] = _window_votes(
+            ts, order, positive, q[part], lo[part], width, m
+        )
+    if spill.any():
+        out[spill] = _knn_brute(t[:, None], positive, q[spill, None], m)
+    return out
+
+
+def _window_votes(ts, order, positive, q, lo, width, m):
+    """Votes of the queries ``q`` from the sorted positions ``lo[i] +
+    range(width)``, and a mask of the queries whose tie run at the m-th
+    distance may continue outside their window."""
+    n = ts.size
+    pos = lo[:, None] + np.arange(width)
+    d2 = (q[:, None] - ts[pos]) ** 2
+    kth = np.partition(d2, m - 1, axis=1)[:, m - 1].copy()
+    taken, tied = d2 < kth[:, None], d2 == kth[:, None]
+    need = m - np.count_nonzero(taken, axis=1)
+    index = order[pos]
+    # equal distances can sit on both sides of the query, so the tied places
+    # go by training index, not by sorted position
+    crowded = np.count_nonzero(tied, axis=1) > need
+    if crowded.any():
+        rank = np.where(tied[crowded], index[crowded], n)
+        rank.sort(axis=1)
+        cut = rank[np.arange(rank.shape[0]), need[crowded] - 1]
+        tied[crowded] &= index[crowded] <= cut[:, None]
+    taken |= tied
+    votes = np.count_nonzero(taken & positive[index], axis=1) / m
+    before, after = lo - 1, lo + width
+    spill = (before >= 0) & ((q - ts[np.maximum(before, 0)]) ** 2 <= kth)
+    spill |= (after < n) & ((q - ts[np.minimum(after, n - 1)]) ** 2 <= kth)
+    return votes, spill
 
 
 def knn_predict(scores):

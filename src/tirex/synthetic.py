@@ -120,6 +120,13 @@ def _field(d, key, convert):
         raise InvalidInputError(f"invalid value {d[key]!r} for {key!r}") from None
 
 
+def _integral(value):
+    """int(value), refusing a fractional float instead of truncating it."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
 def law_from_dict(d):
     """Inverse of the laws' to_dict()."""
     _check_mapping(d, "covariate law")
@@ -165,8 +172,10 @@ class MixtureSpec:
             raise InvalidInputError(f"need 1 <= d < p, got d={self.d}, p={self.p}")
         if not (0.0 <= self.theta <= 1.0):
             raise InvalidInputError(f"theta must lie in [0, 1], got {self.theta}")
-        if self.alpha1 <= 0 or self.alpha2 <= 0:
-            raise InvalidInputError("alpha1 and alpha2 must be positive")
+        for name in ("alpha1", "alpha2"):
+            alpha = getattr(self, name)
+            if not (math.isfinite(alpha) and alpha > 0):
+                raise InvalidInputError(f"{name} must be finite and positive, got {alpha!r}")
         # selector weights default to uniform; the mixture literature rarely
         # states them so this is the documented neutral choice
         pi1 = self.pi1 if self.pi1 is not None else np.full(self.p - self.d, 1.0 / (self.p - self.d))
@@ -193,8 +202,8 @@ class MixtureSpec:
         _check_mapping(d, "spec")
         weights = partial(np.asarray, dtype=float)
         return MixtureSpec(
-            p=_field(d, "p", int),
-            d=_field(d, "d", int),
+            p=_field(d, "p", _integral),
+            d=_field(d, "d", _integral),
             theta=_field(d, "theta", float),
             alpha1=_field(d, "alpha1", float),
             alpha2=_field(d, "alpha2", float),

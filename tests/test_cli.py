@@ -370,6 +370,8 @@ GOOD_SPEC = {"p": 2, "d": 1, "theta": 0.5, "alpha1": 10.0, "alpha2": 10.0,
     [GOOD_SPEC],
     dict(GOOD_SPEC, covariate_law="uniform"),
     dict(GOOD_SPEC, pi1="abc"),
+    dict(GOOD_SPEC, p=2.7),
+    dict(GOOD_SPEC, p=3, d=1.5),
 ])
 def test_malformed_spec_file_exits_1_with_message(tmp_path, capsys, spec):
     path = tmp_path / "s.json"
@@ -379,6 +381,52 @@ def test_malformed_spec_file_exits_1_with_message(tmp_path, capsys, spec):
                 "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("tirex: error:")
     assert not out.exists()
+
+
+def test_spec_file_accepts_an_integral_float_dimension(tmp_path):
+    path, out = tmp_path / "s.json", tmp_path / "o.csv"
+    path.write_text(json.dumps(dict(GOOD_SPEC, p=2.0)))
+    assert run(["simulate", "--spec", str(path), "--n", "5", "--seed", "1",
+                "--out", str(out)]) == 0
+    assert json.loads(out.with_suffix(".json").read_text())["spec"]["p"] == 2
+
+
+@pytest.mark.parametrize("field", ["alpha1", "alpha2"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+def test_spec_file_alpha_must_be_finite_and_positive(tmp_path, capsys, field, value):
+    path, out = tmp_path / "s.json", tmp_path / "o.csv"
+    path.write_text(json.dumps(dict(GOOD_SPEC, **{field: value})))  # NaN, Infinity
+    assert run(["simulate", "--spec", str(path), "--n", "5", "--seed", "1",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tirex: error:") and field in err
+    assert "non-finite" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["spec", "config"])
+def test_simulate_sidecar_may_not_overwrite_an_input_file(tmp_path, capsys, flag):
+    spec, cfg = tmp_path / "s1.json", tmp_path / "c1.json"
+    spec.write_text(json.dumps(GOOD_SPEC))
+    cfg.write_text(json.dumps({"seed": 1}))
+    before = {path: path.read_bytes() for path in (spec, cfg)}
+    out = (spec if flag == "spec" else cfg).with_suffix(".csv")
+    assert run(["simulate", "--spec", str(spec), "--config", str(cfg), "--n", "5",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tirex: error:") and f"--{flag}" in err
+    assert {path: path.read_bytes() for path in (spec, cfg)} == before
+    assert not out.exists()
+
+
+def test_simulate_sidecar_may_not_overwrite_the_csv(tmp_path, capsys):
+    out = tmp_path / "data.json"
+    out.write_text("keep me\n")
+    assert run(["simulate", "--model", "A", "--n", "5", "--seed", "1",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tirex: error:") and "--out" in err
+    assert out.read_text() == "keep me\n"
 
 
 def test_tci_ratio_spec_needs_no_n(tmp_path, capsys):

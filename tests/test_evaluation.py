@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from tirex import evaluation
 from tirex.errors import InvalidInputError
 from tirex.evaluation import (
     am_risk,
@@ -188,7 +190,7 @@ def test_knn_score_half_predicts_negative():
     assert not knn_predict(np.array([0.5]))[0]
 
 
-@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 8])
 @pytest.mark.parametrize("n_neighbors", [1, 37, 600])
 def test_knn_selection_matches_full_sort_oracle(d, n_neighbors):
     # integer grids make ties at the boundary distance the common case;
@@ -206,20 +208,131 @@ def test_knn_selection_matches_full_sort_oracle(d, n_neighbors):
     assert np.array_equal(got, knn_scores_oracle(train, labels, queries, n_neighbors))
 
 
+@pytest.mark.parametrize("d", range(1, 10))
+def test_knn_distances_equal_the_row_sum_bit_for_bit(d):
+    # the tie sets depend on every bit of the squared distances
+    rng = np.random.default_rng(d)
+    scale = rng.choice([1e-3, 1.0, 1e5], size=(50, d))
+    block, train = rng.standard_normal((50, d)) * scale, rng.standard_normal((700, d))
+    want = ((block[:, None, :] - train[None, :, :]) ** 2).sum(axis=-1)
+    assert np.array_equal(evaluation._sq_distances(block, train), want)
+
+
+def _shuffled(values, seed):
+    # training index order differs from sorted order, so a tie rule that
+    # went by sorted position would show
+    return np.random.default_rng(seed).permutation(np.asarray(values, dtype=float))
+
+
+# one-dimensional cases at the edges of the sorted window: (train, queries, m)
+WINDOW_CASES = {
+    "clipped at both ends": (
+        _shuffled(np.linspace(-2.0, 3.0, 25) ** 3, 1), [-100.0, -8.0, 27.0, 100.0], 4,
+    ),
+    "tie run past one edge": (
+        _shuffled([0.0] + [2.0] * 6 + [7.0, 9.0, 11.0], 2), [0.0, -1.0, 12.0], 2,
+    ),
+    "tie run past both edges": (
+        _shuffled([-2.0] * 5 + [2.0] * 5 + [-9.0, 9.0], 3), [0.0, 0.5], 3,
+    ),
+    "equidistant on opposite sides": (
+        np.array([1.0, -1.0, 3.0, -3.0, 5.0]), [0.0, 2.0, -2.0, 4.0], 1,
+    ),
+    "window covers the training set": (
+        _shuffled([0.0, 1.0, 1.0, 2.0, 3.5, 3.5, 8.0], 4), [-1.0, 1.0, 2.75, 20.0], 4,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(WINDOW_CASES))
+def test_knn_selection_matches_full_sort_oracle_at_window_edges(case):
+    train, queries, m = WINDOW_CASES[case]
+    queries = np.asarray(queries)
+    for labels in (np.arange(train.size) % 2 == 0, np.arange(train.size) % 2 == 1):
+        got = knn_scores(train, labels, queries, m)
+        assert np.array_equal(got, knn_scores_oracle(train, labels, queries, m))
+
+
+def _half_grid(lo, hi):
+    return st.integers(2 * lo, 2 * hi).map(lambda v: v / 2.0)
+
+
+@st.composite
+def _knn_case(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 60))
+    m = draw(st.integers(1, n))
+    train = draw(arrays(float, (n, d), elements=_half_grid(-3, 3)))
+    labels = draw(arrays(bool, n))
+    # queries reach past the training range on both sides
+    queries = draw(arrays(float, (draw(st.integers(1, 20)), d), elements=_half_grid(-5, 5)))
+    return train, labels, queries, m
+
+
+@given(_knn_case())
+@settings(max_examples=200, deadline=None)
+def test_knn_matches_full_sort_oracle_on_tie_heavy_grids(case):
+    train, labels, queries, m = case
+    got = knn_scores(train, labels, queries, m)
+    assert np.array_equal(got, knn_scores_oracle(train, labels, queries, m))
+
+
+def test_knn_window_falls_back_only_on_open_tie_runs(monkeypatch):
+    scanned = []
+    brute = evaluation._knn_brute
+    monkeypatch.setattr(evaluation, "_knn_brute",
+                        lambda tp, pos, qp, m: scanned.append(len(qp)) or brute(tp, pos, qp, m))
+    rng = np.random.default_rng(5)
+    train, queries = rng.standard_normal(2000), rng.standard_normal(500)
+    labels = rng.random(2000) < 0.2
+    for m in (1, 51):
+        knn_scores(train, labels, queries, m)
+    assert scanned == []  # continuous data: every tie run closes inside the window
+    # integer data, about 290 copies of each value: every query takes the
+    # full scan
+    grid = rng.integers(-3, 4, size=2000).astype(float)
+    knn_scores(grid, labels, rng.integers(-3, 4, size=500).astype(float), 51)
+    assert scanned == [500]
+
+
+def _knn_peak_bytes(train, labels, queries):
+    tracemalloc.start()
+    try:
+        knn_scores(train, labels, queries, 51)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# five float64 arrays of 2**18 elements (10 MiB), about half of the 19.5 MiB
+# full 800 x 3200 distance matrix
+KNN_PEAK_BOUND = 5 * 8 * 2**18
+
+
 def test_knn_working_set_is_a_few_chunks():
     # the classify-A final-fit shape: 3200 training points, 800 queries
     rng = np.random.default_rng(0)
     train, queries = rng.standard_normal((3200, 1)), rng.standard_normal((800, 1))
     labels = rng.random(3200) < 0.1
-    tracemalloc.start()
-    try:
-        knn_scores(train, labels, queries, 51)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # five float64 arrays of 2**18 elements (10 MiB), about half of the
-    # 19.5 MiB full 800 x 3200 distance matrix
-    assert peak < 5 * 8 * 2**18
+    assert _knn_peak_bytes(train, labels, queries) < KNN_PEAK_BOUND
+
+
+def test_knn_working_set_is_a_few_chunks_on_the_full_scan():
+    # d = 3 always scans every training point
+    rng = np.random.default_rng(0)
+    train, queries = rng.standard_normal((3200, 3)), rng.standard_normal((800, 3))
+    labels = rng.random(3200) < 0.1
+    assert _knn_peak_bytes(train, labels, queries) < KNN_PEAK_BOUND
+
+
+def test_knn_working_set_is_a_few_chunks_when_every_query_falls_back():
+    # integer values: every tie run leaves its window, so all 800 queries
+    # take the full scan after the window pass
+    rng = np.random.default_rng(0)
+    train = rng.integers(-3, 4, size=(3200, 1)).astype(float)
+    queries = rng.integers(-3, 4, size=(800, 1)).astype(float)
+    labels = rng.random(3200) < 0.1
+    assert _knn_peak_bytes(train, labels, queries) < KNN_PEAK_BOUND
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,9 @@ def test_mixture_spec_validation():
         MixtureSpec(p=2, d=1, theta=1.5, alpha1=1.0, alpha2=1.0, covariate_law=law)
     with pytest.raises(InvalidInputError):
         MixtureSpec(p=2, d=1, theta=0.5, alpha1=-1.0, alpha2=1.0, covariate_law=law)
+    for bad in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(InvalidInputError, match="alpha2"):
+            MixtureSpec(p=2, d=1, theta=0.5, alpha1=1.0, alpha2=bad, covariate_law=law)
     with pytest.raises(InvalidInputError):
         MixtureSpec(p=3, d=1, theta=0.5, alpha1=1.0, alpha2=1.0, covariate_law=law,
                     pi1=np.array([0.5, 0.6]))
