@@ -21,10 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import load_csv, write_csv
+from .data import csv_text, load_csv, write_csv
 from .errors import InvalidInputError, NumericalError, TirexError
 from .estimators import METHODS, fit
 from .evaluation import (
+    DEFAULT_NEIGHBORS,
     classify_experiment,
     geometric_k_grid,
     sweep,
@@ -55,8 +56,11 @@ def _dump_json(obj, path=None):
         sys.stdout.write(text)
 
 
-def _matrix_csv_text(m):
-    return "\n".join(",".join(repr(float(v)) for v in row) for row in np.atleast_2d(m)) + "\n"
+def _write_report(report, args):
+    """The report's CSV to --out, then its JSON to --json-out if given."""
+    _write_text(args.out, report.to_csv_text())
+    if args.json_out:
+        _dump_json(report.to_json_dict(), args.json_out)
 
 
 def load_config(path):
@@ -75,6 +79,8 @@ def _config_value(action, key, value):
     """Convert and check a config value as argparse does the flag's text, so
     {"k": 40.7} is refused like --k 40.7."""
     if action.nargs == 0:  # a switch such as --expected-abs-r
+        if not isinstance(value, bool):
+            raise InvalidInputError(f"config key {key!r}: expected true or false, got {value!r}")
         return value
     text = str(value)
     try:
@@ -89,30 +95,23 @@ def _config_value(action, key, value):
     return value
 
 
-def _merge_config(args, parser):
-    """Fill unset flags from --config; flags always win over config values."""
-    if not getattr(args, "config", None):
-        return args
-    cfg = load_config(args.config)
+def _config_defaults(path, parser):
+    """The --config values, checked and converted, as defaults for the
+    subcommand's parser; argv parsed again over them lets flags win."""
     actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
-    for key, value in cfg.items():
+    defaults = {}
+    for key, value in load_config(path).items():
         if key not in actions:
             raise InvalidInputError(f"unknown config key {key!r}")
-        if getattr(args, key, None) is None and value is not None:
-            setattr(args, key, _config_value(actions[key], key, value))
-    return args
+        if value is not None:
+            defaults[key] = _config_value(actions[key], key, value)
+    return defaults
 
 
 def _require(args, *names):
     for name in names:
         if getattr(args, name, None) is None:
             raise InvalidInputError(f"missing required option --{name.replace('_', '-')}")
-
-
-def _or_default(value, default):
-    """An option's value, or its default when it was not given; an explicit
-    0 stays 0 and meets the validators."""
-    return default if value is None else value
 
 
 def _parse_list(text, convert, flag):
@@ -138,8 +137,8 @@ def _parse_k_grid(text):
 def _model_spec(args):
     """MixtureSpec from --model preset or --spec file, and its default sample
     size (the preset's; None for a spec file)."""
-    model = getattr(args, "model", None)
-    spec_path = getattr(args, "spec", None)
+    model = args.model
+    spec_path = args.spec
     if (model is None) == (spec_path is None):
         raise InvalidInputError("exactly one of --model or --spec is required")
     if model is not None:
@@ -159,7 +158,8 @@ def _model_spec(args):
 def _resolve_spec(args):
     """MixtureSpec and sample size (--n, else the preset's) to sample from."""
     spec, n = _model_spec(args)
-    n = _or_default(getattr(args, "n", None), n)
+    if args.n is not None:
+        n = args.n
     if n is None:
         raise InvalidInputError("--n is required with --spec")
     return spec, int(n)
@@ -177,20 +177,19 @@ def _cmd_simulate(args):
         raise InvalidInputError(f"--out {args.out!r} is not a file path") from None
     # refuse before writing anything: the sidecar must not replace an input
     for flag in ("out", "spec", "config"):
-        path = getattr(args, flag, None)
+        path = getattr(args, flag)
         if path is not None and Path(path).resolve() == sidecar_path.resolve():
             raise InvalidInputError(
                 f"the JSON sidecar {str(sidecar_path)!r} of --out would overwrite --{flag}"
             )
     spec, n = _resolve_spec(args)
-    stream = _or_default(args.stream, 0)
-    ds = sample(spec, n, args.seed, stream=stream)
+    ds = sample(spec, n, args.seed, stream=args.stream)
     write_csv(ds, args.out)
     sidecar = {
         "artifact_version": __version__,
         "n": n,
         "seed": args.seed,
-        "stream": stream,
+        "stream": args.stream,
         "spec": spec.to_dict(),
     }
     _dump_json(sidecar, sidecar_path)
@@ -199,14 +198,13 @@ def _cmd_simulate(args):
 
 def _cmd_fit(args):
     _require(args, "infile", "method", "out")
-    ds = load_csv(args.infile, target=_or_default(args.target, "y"))
-    f = fit(ds, args.method, k=args.k, d=args.d, eig_floor=args.eig_floor,
-            ridge=_or_default(args.ridge, 0.0))
+    ds = load_csv(args.infile, target=args.target)
+    f = fit(ds, args.method, k=args.k, d=args.d, eig_floor=args.eig_floor, ridge=args.ridge)
     _dump_json(f.to_json_dict(), args.out)
     if args.basis_out:
-        _write_text(args.basis_out, _matrix_csv_text(f.basis_raw))
+        _write_text(args.basis_out, csv_text(f.basis_raw))
     if args.projector_out:
-        _write_text(args.projector_out, _matrix_csv_text(f.projector_whitened.matrix))
+        _write_text(args.projector_out, csv_text(f.projector_whitened.matrix))
     return 0
 
 
@@ -215,58 +213,48 @@ def _cmd_sweep(args):
     spec, n = _resolve_spec(args)
     report = sweep(
         spec, n, args.method, args.d, _parse_k_grid(args.k_grid),
-        reps=args.reps, seed=args.seed, jobs=_or_default(args.jobs, 1),
+        reps=args.reps, seed=args.seed, jobs=args.jobs,
     )
-    _write_text(args.out, report.to_csv_text())
-    if args.json_out:
-        _dump_json(report.to_json_dict(), args.json_out)
+    _write_report(report, args)
     return 0
 
 
 def _cmd_classify(args):
     _require(args, "d", "seed", "out")
-    if getattr(args, "infile", None):
-        ds = load_csv(args.infile, target=_or_default(args.target, "y"))
+    if args.infile:
+        ds = load_csv(args.infile, target=args.target)
     else:
         spec, n = _resolve_spec(args)
         ds = sample(spec, n, args.seed, stream=0)
-    methods = [m.strip() for m in _or_default(args.methods, ",".join(METHODS)).split(",")
-               if m.strip()]
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise InvalidInputError("--methods names no method")
     for m in methods:
         if m not in METHODS:
             raise InvalidInputError(f"unknown method {m!r} in --methods")
     report = classify_experiment(
-        ds, methods, d=args.d,
-        quantile_level=_or_default(args.quantile_level, 0.98),
-        folds=_or_default(args.folds, 5),
+        ds, methods, d=args.d, quantile_level=args.quantile_level, folds=args.folds,
         seed=args.seed,
         k_grid=None if args.k_grid is None else _parse_k_grid(args.k_grid),
-        n_neighbors=_or_default(args.neighbors, 5),
+        n_neighbors=args.neighbors,
     )
-    _write_text(args.out, report.to_csv_text())
-    if args.json_out:
-        _dump_json(report.to_json_dict(), args.json_out)
+    _write_report(report, args)
     return 0
 
 
 def _cmd_verify_process(args):
     _require(args, "n", "k", "reps", "seed", "out")
     cfg = ProcessCheckConfig(
-        generator=IndependentNormalModel(p=_or_default(args.p, 3)),
+        generator=IndependentNormalModel(p=args.p),
         n=args.n,
         k=args.k,
         n_reps=args.reps,
-        u_grid=tuple(_parse_list(_or_default(args.u_grid, "0.1,0.3,0.5,0.7,1.0"),
-                                 float, "--u-grid")),
-        order=_or_default(args.order, 1),
+        u_grid=tuple(_parse_list(args.u_grid, float, "--u-grid")),
+        order=args.order,
         seed=args.seed,
     )
     report = covariance_check(cfg)
-    _write_text(args.out, report.to_csv_text())
-    if args.json_out:
-        _dump_json(report.to_json_dict(), args.json_out)
+    _write_report(report, args)
     sys.stdout.write(
         f"process check {'PASSED' if report.passed else 'FAILED'} "
         f"({len(report.cov_entries)} covariance entries, "
@@ -281,9 +269,8 @@ def _cmd_tci_ratio(args):
     if args.expected_abs_r:
         _require(args, "seed", "y_grid")
         y_grid = _parse_list(args.y_grid, float, "--y-grid")
-        n_mc = _or_default(args.n_mc, 100_000)
         out["y_grid"] = y_grid
-        out["expected_abs_r"] = [expected_abs_R(spec, y, n_mc, args.seed) for y in y_grid]
+        out["expected_abs_r"] = [expected_abs_R(spec, y, args.n_mc, args.seed) for y in y_grid]
     else:
         _require(args, "y", "v", "w")
         ratios = tci_ratios(
@@ -326,19 +313,21 @@ def build_parser():
     _add_common(s)
     _add_model_args(s)
     s.add_argument("--seed", type=int)
-    s.add_argument("--stream", type=int, help="replication stream index (default 0)")
+    s.add_argument("--stream", type=int, default=0,
+                   help="replication stream index (default %(default)s)")
     s.add_argument("--out", help="output CSV path")
     s.set_defaults(handler=_cmd_simulate)
 
     s = subs.add_parser("fit", help="fit a dimension-reduction subspace on a CSV dataset")
     _add_common(s)
     s.add_argument("--in", dest="infile", help="input CSV path")
-    s.add_argument("--target", help="target column name (default y)")
+    s.add_argument("--target", default="y", help="target column name (default %(default)s)")
     s.add_argument("--method", choices=METHODS)
     s.add_argument("--k", type=int, help="number of top order statistics (tirex1/tirex2)")
     s.add_argument("--d", type=int, help="subspace dimension (default 1 for tirex1/cume)")
     s.add_argument("--eig-floor", type=float, help="rank floor for the covariance eigenvalues")
-    s.add_argument("--ridge", type=float, help="add ridge*I to the covariance before whitening")
+    s.add_argument("--ridge", type=float, default=0.0,
+                   help="add ridge*I to the covariance before whitening")
     s.add_argument("--out", help="output JSON path (method, k, d, eigenvalues)")
     s.add_argument("--basis-out", help="optional CSV of the raw-coordinate basis")
     s.add_argument("--projector-out", help="optional CSV of the whitened projector")
@@ -355,7 +344,8 @@ def build_parser():
     s.add_argument("--k-grid", help="lo:hi:count (geometric), comma list, or single k")
     s.add_argument("--reps", type=int)
     s.add_argument("--seed", type=int)
-    s.add_argument("--jobs", type=int, help="parallel replication workers (default 1)")
+    s.add_argument("--jobs", type=int, default=1,
+                   help="parallel replication workers (default %(default)s)")
     s.add_argument("--out", help="output CSV path (k,bias_sq,variance,mse)")
     s.add_argument("--json-out", help="optional JSON report path")
     s.set_defaults(handler=_cmd_sweep)
@@ -364,13 +354,17 @@ def build_parser():
     _add_common(s)
     _add_model_args(s)
     s.add_argument("--in", dest="infile", help="input CSV (alternative to --model/--spec)")
-    s.add_argument("--target", help="target column name (default y)")
-    s.add_argument("--methods", help="comma list of methods (default: all)")
+    s.add_argument("--target", default="y", help="target column name (default %(default)s)")
+    s.add_argument("--methods", default=",".join(METHODS),
+                   help="comma list of methods (default: all)")
     s.add_argument("--d", type=int)
-    s.add_argument("--quantile-level", type=float, help="exceedance quantile (default 0.98)")
-    s.add_argument("--folds", type=int, help="CV folds for choosing k (default 5)")
+    s.add_argument("--quantile-level", type=float, default=0.98,
+                   help="exceedance quantile (default %(default)s)")
+    s.add_argument("--folds", type=int, default=5,
+                   help="CV folds for choosing k (default %(default)s)")
     s.add_argument("--k-grid", help="candidate k values (default 30 geometric in [n/100, n])")
-    s.add_argument("--neighbors", type=int, help="k-NN vote size (default 5)")
+    s.add_argument("--neighbors", type=int, default=DEFAULT_NEIGHBORS,
+                   help="k-NN vote size (default %(default)s)")
     s.add_argument("--seed", type=int)
     s.add_argument("--out", help="output CSV path (method,am_risk,auc,chosen_k)")
     s.add_argument("--json-out", help="optional JSON report path")
@@ -381,12 +375,15 @@ def build_parser():
         help="Monte-Carlo check of the tail process covariance limit",
     )
     _add_common(s)
-    s.add_argument("--p", type=int, help="covariate dimension of the check model (default 3)")
+    s.add_argument("--p", type=int, default=IndependentNormalModel.p,
+                   help="covariate dimension of the check model (default %(default)s)")
     s.add_argument("--n", type=int)
     s.add_argument("--k", type=int)
     s.add_argument("--reps", type=int)
-    s.add_argument("--u-grid", help="comma list of u values (default 0.1,0.3,0.5,0.7,1.0)")
-    s.add_argument("--order", type=int, choices=(1, 2), help="process order (default 1)")
+    s.add_argument("--u-grid", default="0.1,0.3,0.5,0.7,1.0",
+                   help="comma list of u values (default %(default)s)")
+    s.add_argument("--order", type=int, choices=(1, 2), default=ProcessCheckConfig.order,
+                   help="process order (default %(default)s)")
     s.add_argument("--seed", type=int)
     s.add_argument("--out", help="output CSV path")
     s.add_argument("--json-out", help="optional JSON report path")
@@ -399,10 +396,11 @@ def build_parser():
     s.add_argument("--y", type=float, help="threshold for a pointwise ratio")
     s.add_argument("--v", help="comma list: light-block covariate values")
     s.add_argument("--w", help="comma list: heavy-block covariate values")
-    s.add_argument("--expected-abs-r", action="store_true", default=None,
+    s.add_argument("--expected-abs-r", action="store_true",
                    help="Monte-Carlo E|R| over a y grid instead of a pointwise ratio")
     s.add_argument("--y-grid", help="comma list of thresholds for --expected-abs-r")
-    s.add_argument("--n-mc", type=int, help="Monte-Carlo draws (default 100000)")
+    s.add_argument("--n-mc", type=int, default=100_000,
+                   help="Monte-Carlo draws (default %(default)s)")
     s.add_argument("--seed", type=int)
     s.add_argument("--out", help="output JSON path (default: stdout)")
     s.set_defaults(handler=_cmd_tci_ratio)
@@ -421,7 +419,10 @@ def run(argv):
         parser.print_usage(sys.stderr)
         return 1
     try:
-        _merge_config(args, subparsers[args.command])
+        if args.config:
+            subparser = subparsers[args.command]
+            subparser.set_defaults(**_config_defaults(args.config, subparser))
+            args = parser.parse_args(argv)
         return args.handler(args)
     except NumericalError as exc:
         print(f"tirex: numerical failure: {exc}", file=sys.stderr)

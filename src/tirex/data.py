@@ -85,7 +85,8 @@ def load_csv(path, target="y"):
     non-finite cells raise InvalidInputError with 1-based (line, column)
     location, the header being line 1.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports may write
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -139,6 +140,25 @@ def write_csv(ds, path):
         writer.writerow(list(names) + ["y"])
         for i in range(ds.n):
             writer.writerow([repr(float(v)) for v in ds.x[i]] + [repr(float(ds.y[i]))])
+
+
+def _csv_cell(v):
+    if v is None:
+        return ""
+    if isinstance(v, bool):  # before the numbers: bool is an int subclass
+        return str(int(v))
+    if isinstance(v, float):  # np.float64 too, whose numpy 2 repr names the type
+        return repr(float(v))
+    return str(v)
+
+
+def csv_text(rows):
+    """Report CSV text, one line per row, the header being the first row.
+
+    Floats are written as shortest round-trip decimals, bools as 0/1 and
+    None as an empty cell; nothing is quoted.
+    """
+    return "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
 
 
 def standardize(ds, eig_floor=None, ridge=0.0):

@@ -38,6 +38,8 @@ from .linalg import (
 METHODS = ("tirex1", "tirex2", "cume", "cuve", "pca", "svd_pca")
 # the methods whose k is free; cume/cuve pin k to n, the PCA variants ignore it
 FREE_K_METHODS = ("tirex1", "tirex2")
+# the methods built from first-order tail moments, whose limit is rank one
+_FIRST_ORDER_METHODS = ("tirex1", "cume")
 
 _K_FORCED_TO_N = ("cume", "cuve")
 _PCA_METHODS = ("pca", "svd_pca")
@@ -161,8 +163,8 @@ def _validate_method(method):
 def _default_d(method, d):
     if d is not None:
         return int(d)
-    if method in ("tirex1", "cume"):
-        return 1  # the first-order limit is rank one
+    if method in _FIRST_ORDER_METHODS:
+        return 1
     raise InvalidInputError(f"method {method!r} requires an explicit d")
 
 
@@ -220,7 +222,7 @@ class PreparedFit:
         if not (1 <= d <= ds.p):
             raise InvalidInputError(f"d must satisfy 1 <= d <= p={ds.p}, got {d}")
         self.method, self.d, self.n = method, d, ds.n
-        self._first_order = method in ("tirex1", "cume")
+        self._first_order = method in _FIRST_ORDER_METHODS
         if method in _PCA_METHODS:
             self._pca = _pca_fit(ds, method, d)
         else:

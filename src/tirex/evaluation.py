@@ -16,14 +16,14 @@ rates) and the AUC.
 """
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from . import rng as rngmod
-from .data import empirical_quantile
+from .data import csv_text, empirical_quantile
 from .errors import InvalidInputError, NumericalError
 from .estimators import FREE_K_METHODS, PreparedFit, fit
 from .linalg import frobenius_dist_sq
@@ -98,7 +98,9 @@ def knn_scores(train_pts, train_labels, query_pts, n_neighbors=DEFAULT_NEIGHBORS
     continue past the window: when the first point outside it on either side
     is no farther than the m-th distance, the query takes the brute-force
     path instead, so tie-heavy inputs (integer-valued covariates) stay exact
-    and cost what a full scan costs.
+    and cost what a full scan costs.  Such a tie can also join distinct
+    values, since the squared distances are rounded: from q = -1e16 the
+    points 0, 1, ..., 5 lie at only 3 distinct squared distances.
 
     The brute-force path compares every query with every training point,
     O(n_train * (d + 1)) per query.  For d <= 7 it adds the squared column
@@ -231,28 +233,11 @@ class SweepReport:
     cells: list
 
     def to_csv_text(self):
-        lines = ["k,bias_sq,variance,mse"]
-        for c in self.cells:
-            lines.append(f"{c.k},{c.bias_sq!r},{c.variance!r},{c.mse!r}")
-        return "\n".join(lines) + "\n"
+        columns = ("k", "bias_sq", "variance", "mse")
+        return csv_text([columns] + [[getattr(cell, c) for c in columns] for cell in self.cells])
 
     def to_json_dict(self):
-        return {
-            "method": self.method,
-            "d": self.d,
-            "reps": self.reps,
-            "cells": [
-                {
-                    "k": c.k,
-                    "bias_sq": c.bias_sq,
-                    "variance": c.variance,
-                    "mse": c.mse,
-                    "reps_ok": c.reps_ok,
-                    "failures": c.failures,
-                }
-                for c in self.cells
-            ],
-        }
+        return asdict(self)
 
     def cell(self, k):
         """First cell for a given k (grids normally hold distinct k)."""
@@ -440,28 +425,11 @@ class ClassificationReport:
     scores: list
 
     def to_csv_text(self):
-        lines = ["method,am_risk,auc,chosen_k"]
-        for s in self.scores:
-            k = "" if s.chosen_k is None else str(s.chosen_k)
-            lines.append(f"{s.method},{s.am_risk!r},{s.auc!r},{k}")
-        return "\n".join(lines) + "\n"
+        columns = [f.name for f in fields(MethodScore)]
+        return csv_text([columns] + [[getattr(s, c) for c in columns] for s in self.scores])
 
     def to_json_dict(self):
-        return {
-            "quantile_level": self.quantile_level,
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-            "baseline_am_risk": self.baseline_am_risk,
-            "scores": [
-                {
-                    "method": s.method,
-                    "am_risk": s.am_risk,
-                    "auc": s.auc,
-                    "chosen_k": s.chosen_k,
-                }
-                for s in self.scores
-            ],
-        }
+        return asdict(self)
 
     def score(self, method):
         for s in self.scores:

@@ -20,12 +20,12 @@ process, and Xi is given by Wick pairings for the second-order one.  That
 isolates implementation error from model error.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import rng as rngmod
-from .data import ceil_index, descending_order
+from .data import ceil_index, csv_text, descending_order
 from .errors import InvalidInputError
 from .estimators import tail_increments
 
@@ -134,13 +134,8 @@ class ProcessCheckReport:
         return max((e.deviation / e.se if e.se > 0 else np.inf) for e in self.cov_entries)
 
     def to_csv_text(self):
-        lines = ["u_s,u_t,row,col,empirical,theoretical,deviation,se,ok"]
-        for e in self.cov_entries:
-            lines.append(
-                f"{e.u_s!r},{e.u_t!r},{e.row},{e.col},{e.empirical!r},"
-                f"{e.theoretical!r},{e.deviation!r},{e.se!r},{int(e.ok)}"
-            )
-        return "\n".join(lines) + "\n"
+        columns = [f.name for f in fields(CovCheckEntry)]
+        return csv_text([columns] + [[getattr(e, c) for c in columns] for e in self.cov_entries])
 
     def to_json_dict(self):
         return {
@@ -153,21 +148,14 @@ class ProcessCheckReport:
             "cov_ok": self.cov_ok,
             "n_mean_entries": len(self.mean_entries),
             "n_cov_entries": len(self.cov_entries),
-            "mean_failures": [
-                {"u": e.u, "component": e.component, "mean": e.mean, "se": e.se}
-                for e in self.mean_entries
-                if not e.ok
-            ],
-            "cov_failures": [
-                {
-                    "u_s": e.u_s, "u_t": e.u_t, "row": e.row, "col": e.col,
-                    "empirical": e.empirical, "theoretical": e.theoretical,
-                    "deviation": e.deviation, "se": e.se,
-                }
-                for e in self.cov_entries
-                if not e.ok
-            ],
+            "mean_failures": _failures(self.mean_entries),
+            "cov_failures": _failures(self.cov_entries),
         }
+
+
+def _failures(entries):
+    """The failed entries as JSON objects, without their ok flag."""
+    return [{k: v for k, v in asdict(e).items() if k != "ok"} for e in entries if not e.ok]
 
 
 def _process_values(z, y, k, u_grid, order):

@@ -213,33 +213,27 @@ class MixtureSpec:
         )
 
 
-#: Benchmark presets: (spec, default sample size).
+#: Benchmark presets: (MixtureSpec keywords, default sample size).
 #: A -- bivariate uniform covariates; B -- p=30 with a 5-dimensional heavy
 #: block; C -- bivariate Bernoulli covariates.
 PRESETS = {
     "A": (dict(p=2, d=1, theta=0.5, alpha1=10.0, alpha2=10.0,
-               law=("uniform", 1.0, 10.0)), 10_000),
+               covariate_law=UniformLaw(1.0, 10.0)), 10_000),
     "B": (dict(p=30, d=5, theta=0.5, alpha1=10.0, alpha2=10.0,
-               law=("uniform", 1.0, 10.0)), 100_000),
+               covariate_law=UniformLaw(1.0, 10.0)), 100_000),
     "C": (dict(p=2, d=1, theta=0.5, alpha1=10.0, alpha2=10.0,
-               law=("bernoulli", 0.5)), 10_000),
+               covariate_law=BernoulliLaw(0.5)), 10_000),
 }
 
 
 def model_preset(name):
-    """Return (MixtureSpec, default n) for preset 'A', 'B' or 'C'."""
+    """Return (MixtureSpec, default n) for preset 'A', 'B' or 'C'; each call
+    builds a new spec, whose weight arrays the caller may change."""
     key = str(name).upper()
     if key not in PRESETS:
         raise InvalidInputError(f"unknown model preset {name!r}; expected one of A, B, C")
     params, n = PRESETS[key]
-    law = params["law"]
-    covariate_law = UniformLaw(law[1], law[2]) if law[0] == "uniform" else BernoulliLaw(law[1])
-    spec = MixtureSpec(
-        p=params["p"], d=params["d"], theta=params["theta"],
-        alpha1=params["alpha1"], alpha2=params["alpha2"],
-        covariate_law=covariate_law,
-    )
-    return spec, n
+    return MixtureSpec(**params), n
 
 
 def _categorical(rng, weights, n):
@@ -297,6 +291,8 @@ def _check_tail_validity(spec, y):
         raise InvalidInputError(
             f"analytic survival formulas require y > {bound} for this covariate law, got y={y}"
         )
+    if not math.isfinite(y):
+        raise InvalidInputError(f"the threshold y must be finite, got y={y}")
 
 
 def _s1_conditional(spec, y, v):

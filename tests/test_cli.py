@@ -270,6 +270,19 @@ def test_tci_ratio_config_can_enable_expectation_mode(tmp_path):
     assert "expected_abs_r" in json.loads(out.read_text())
 
 
+@pytest.mark.parametrize("argv", [
+    ["--y", "inf", "--v", "1", "--w", "1"],
+    ["--expected-abs-r", "--y-grid", "20,inf", "--n-mc", "100", "--seed", "1"],
+])
+def test_tci_ratio_threshold_must_be_finite(tmp_path, capsys, argv):
+    # an infinite y used to exit 0 and write Infinity, which is not JSON
+    out = tmp_path / "r.json"
+    assert run(["tci-ratio", "--model", "A"] + argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tirex: error:") and "finite" in err
+    assert not out.exists()
+
+
 def test_importing_the_cli_loads_no_scipy():
     # scipy is imported only where tci-ratio integrates numerically; loading
     # it at import time would add its start-up to every CLI call
@@ -308,6 +321,10 @@ ER = ["tci-ratio", "--model", "A", "--expected-abs-r", "--y-grid", "20", "--seed
       "--reps", "2", "--seed", "1"], {"method": "sir"}),
     (["verify-process", "--n", "400", "--reps", "120", "--seed", "3"], {"k": [1, 2]}),
     (["verify-process", "--n", "400", "--reps", "120", "--seed", "3"], {"k": 40.7}),
+    # a switch takes only a JSON boolean; these used to turn the mode on
+    (ER[:3] + ER[4:] + ["--n-mc", "100"], {"expected_abs_r": "false"}),
+    (ER[:3] + ER[4:] + ["--n-mc", "100"], {"expected_abs_r": "no"}),
+    (ER[:3] + ER[4:] + ["--n-mc", "100"], {"expected_abs_r": 2}),
 ])
 def test_parse_errors_exit_1_with_message(tmp_path, capsys, argv, config):
     argv = argv + ["--out", str(tmp_path / "out")]

@@ -25,6 +25,15 @@ def test_load_csv_basic(tmp_path):
     assert ds.names == ["x1"]
 
 
+def test_load_csv_skips_a_byte_order_mark(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with one
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"\xef\xbb\xbfy,x1\n2,1\n4,3\n")
+    ds = load_csv(path)
+    assert ds.names == ["x1"]
+    assert np.array_equal(ds.y, [2.0, 4.0])
+
+
 def test_load_csv_nan_cell_reports_location(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("x1,y\n1,2\nNaN,4\n")

@@ -241,6 +241,15 @@ WINDOW_CASES = {
     "window covers the training set": (
         _shuffled([0.0, 1.0, 1.0, 2.0, 3.5, 3.5, 8.0], 4), [-1.0, 1.0, 2.75, 20.0], 4,
     ),
+    # (q - t) ** 2 rounds distinct t to one distance when |q| ~ 1e16, so the
+    # tie at the m-th distance crosses the window's inner edge: the right
+    # edge for queries below the data, the left edge for queries above it
+    "far queries below the data": (
+        _shuffled(np.arange(40.0), 3), [-1e16, -3e16, -5e16, -7e16], 1,
+    ),
+    "far queries above the data": (
+        _shuffled(np.arange(40.0), 1), [1e16, 3e16, 5e16, 7e16], 4,
+    ),
 }
 
 

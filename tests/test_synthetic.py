@@ -236,6 +236,14 @@ def test_expected_abs_r_theta_zero_is_zero():
     assert expected_abs_R(spec, 20.0, 500, seed=1) == 0.0
 
 
+def test_model_preset_builds_a_new_spec_per_call():
+    first, n = model_preset("B")
+    first.pi2[:] = 0.0  # the weight arrays are mutable
+    second, _ = model_preset("b")
+    assert n == 100_000 and second.p == 30 and second.d == 5
+    assert np.array_equal(second.pi2, np.full(5, 0.2))
+
+
 @pytest.mark.parametrize("name", ["A", "C"])
 def test_expected_abs_r_decreases_to_zero(name):
     spec, _ = model_preset(name)
