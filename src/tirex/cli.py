@@ -269,6 +269,8 @@ def _cmd_tci_ratio(args):
     if args.expected_abs_r:
         _require(args, "seed", "y_grid")
         y_grid = _parse_list(args.y_grid, float, "--y-grid")
+        if not y_grid:
+            raise InvalidInputError("--y-grid names no threshold")
         out["y_grid"] = y_grid
         out["expected_abs_r"] = [expected_abs_R(spec, y, args.n_mc, args.seed) for y in y_grid]
     else:

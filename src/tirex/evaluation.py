@@ -93,14 +93,15 @@ def knn_scores(train_pts, train_labels, query_pts, n_neighbors=DEFAULT_NEIGHBORS
     In one dimension (finite coordinates) the training points are sorted once
     per call, and the m = ``n_neighbors`` nearest points of a query lie
     within m sorted positions on either side of its insertion point.  The
-    selection then runs on that window of min(2m, n_train) points, which is
-    O(log n_train + m) per query.  A tie run at the m-th distance may
-    continue past the window: when the first point outside it on either side
-    is no farther than the m-th distance, the query takes the brute-force
-    path instead, so tie-heavy inputs (integer-valued covariates) stay exact
-    and cost what a full scan costs.  Such a tie can also join distinct
-    values, since the squared distances are rounded: from q = -1e16 the
-    points 0, 1, ..., 5 lie at only 3 distinct squared distances.
+    window of min(2m, n_train) such points answers the query in
+    O(log n_train + m) when exactly m of its points lie within the m-th
+    window distance and the points just outside both edges are farther: the
+    m nearest are then unique, and no tie needs breaking.  Every other query
+    takes the brute-force path, the one place ties are broken, so tie-heavy
+    inputs (integer-valued covariates) cost a full scan.  The squared
+    distances are rounded, so a tie can also join distinct values: from
+    q = -1e16 the points 0, 1, ..., 5 lie at only 3 distinct squared
+    distances.
 
     The brute-force path compares every query with every training point,
     O(n_train * (d + 1)) per query.  For d <= 7 it adds the squared column
@@ -160,8 +161,8 @@ def _knn_brute(tp, positive, qp, m):
 
 def _knn_window(t, positive, q, m):
     n = t.size
-    order = np.argsort(t, kind="stable")
-    ts = t[order]
+    order = np.argsort(t)
+    ts, positive_sorted = t[order], positive[order]
     width = min(2 * m, n)
     lo = np.clip(np.searchsorted(ts, q) - m, 0, n - width)
     out = np.empty(q.size)
@@ -169,37 +170,25 @@ def _knn_window(t, positive, q, m):
     chunk = max(1, KNN_CHUNK_ELEMENTS // width)
     for start in range(0, q.size, chunk):
         part = slice(start, start + chunk)
-        out[part], spill[part] = _window_votes(
-            ts, order, positive, q[part], lo[part], width, m
-        )
+        out[part], spill[part] = _window_votes(ts, positive_sorted, q[part], lo[part], width, m)
     if spill.any():
         out[spill] = _knn_brute(t[:, None], positive, q[spill, None], m)
     return out
 
 
-def _window_votes(ts, order, positive, q, lo, width, m):
+def _window_votes(ts, positive_sorted, q, lo, width, m):
     """Votes of the queries ``q`` from the sorted positions ``lo[i] +
-    range(width)``, and a mask of the queries whose tie run at the m-th
-    distance may continue outside their window."""
+    range(width)``, and a mask of the queries whose m nearest points the
+    window cannot settle (see ``knn_scores``)."""
     n = ts.size
     pos = lo[:, None] + np.arange(width)
     d2 = (q[:, None] - ts[pos]) ** 2
     kth = np.partition(d2, m - 1, axis=1)[:, m - 1].copy()
-    taken, tied = d2 < kth[:, None], d2 == kth[:, None]
-    need = m - np.count_nonzero(taken, axis=1)
-    index = order[pos]
-    # equal distances can sit on both sides of the query, so the tied places
-    # go by training index, not by sorted position
-    crowded = np.count_nonzero(tied, axis=1) > need
-    if crowded.any():
-        rank = np.where(tied[crowded], index[crowded], n)
-        rank.sort(axis=1)
-        cut = rank[np.arange(rank.shape[0]), need[crowded] - 1]
-        tied[crowded] &= index[crowded] <= cut[:, None]
-    taken |= tied
-    votes = np.count_nonzero(taken & positive[index], axis=1) / m
+    near = d2 <= kth[:, None]
+    votes = np.count_nonzero(near & positive_sorted[pos], axis=1) / m
     before, after = lo - 1, lo + width
-    spill = (before >= 0) & ((q - ts[np.maximum(before, 0)]) ** 2 <= kth)
+    spill = np.count_nonzero(near, axis=1) > m
+    spill |= (before >= 0) & ((q - ts[np.maximum(before, 0)]) ** 2 <= kth)
     spill |= (after < n) & ((q - ts[np.minimum(after, n - 1)]) ** 2 <= kth)
     return votes, spill
 
@@ -296,7 +285,7 @@ def sweep(spec, n, method, d, k_grid, reps, seed, jobs=1):
 
     rep_projectors = partial(_rep_projectors, spec, n, method, d, k_grid, seed)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, reps)) as pool:
             per_rep = list(pool.map(rep_projectors, range(reps)))
     else:
         per_rep = list(map(rep_projectors, range(reps)))

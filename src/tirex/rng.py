@@ -16,6 +16,8 @@ Stream-key conventions used across the package (first component = purpose):
 
 import numpy as np
 
+from .errors import InvalidInputError
+
 
 def stream(seed, *key):
     """Return a ``numpy.random.Generator`` for the given seed and stream key.
@@ -23,6 +25,9 @@ def stream(seed, *key):
     Identical ``(seed, key)`` always yields a bit-identical draw sequence.
     """
     if seed is None:
-        raise ValueError("a seed is required for stochastic operations")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+        raise InvalidInputError("a seed is required for stochastic operations")
+    key = tuple(int(k) for k in key)
+    if int(seed) < 0 or min(key, default=0) < 0:
+        raise InvalidInputError(f"seed and stream must be non-negative, got seed {seed}, key {key}")
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))

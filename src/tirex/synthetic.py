@@ -339,10 +339,11 @@ def survival_components(spec, y, v, w):
     _check_tail_validity(spec, y)
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
-    if v.shape != (spec.p - spec.d,):
-        raise InvalidInputError(f"v must have length {spec.p - spec.d}")
-    if w.shape != (spec.d,):
-        raise InvalidInputError(f"w must have length {spec.d}")
+    for name, vec, size in (("v", v, spec.p - spec.d), ("w", w, spec.d)):
+        if vec.shape != (size,):
+            raise InvalidInputError(f"{name} must have length {size}")
+        if not np.isfinite(vec).all():
+            raise InvalidInputError(f"{name} contains non-finite entries")
     return (
         float(_s1_conditional(spec, y, v)),
         float(_s2_conditional(spec, y, w)),

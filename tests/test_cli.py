@@ -349,12 +349,46 @@ def test_parse_errors_exit_1_with_message(tmp_path, capsys, argv, config):
     SWEEP_A + ["--k-grid", ","],
     SWEEP_A + ["--k-grid", "40", "--jobs", "0"],
     SWEEP_A + ["--k-grid", "40", "--jobs", "-3"],
+    ER + ["--y-grid", ""],
+    ER + ["--y-grid", ","],
 ])
 def test_explicit_zero_or_empty_reaches_the_validators(tmp_path, capsys, argv):
     # an explicit 0 (or empty list) used to be replaced by the default
     assert run(argv + ["--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("tirex: error:")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["simulate", "--model", "A", "--n", "5", "--seed", "-1"], None),
+    (["simulate", "--model", "A", "--n", "5", "--seed", "1", "--stream", "-1"], None),
+    (["simulate", "--model", "A", "--n", "5"], {"seed": -1}),
+    (SWEEP_A + ["--k-grid", "40", "--seed", "-1"], None),
+    (CLASSIFY_A + ["--seed", "-1"], None),
+    (VERIFY + ["--seed", "-1"], None),
+    (ER + ["--seed", "-1"], None),
+])
+def test_negative_seed_or_stream_is_a_user_error(tmp_path, capsys, argv, config):
+    out = tmp_path / "out.csv"
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    assert run(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("tirex: error:")
+    assert not out.exists() and not out.with_suffix(".json").exists()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["--model", "A", "--y", "20", "--v", "nan", "--w", "1"], "v"),
+    (["--model", "C", "--y", "2", "--v", "inf", "--w", "1"], "v"),
+    (["--model", "A", "--y", "20", "--v", "1", "--w=-inf"], "w"),
+])
+def test_tci_ratio_refuses_non_finite_covariates(tmp_path, capsys, argv, name):
+    out = tmp_path / "r.json"
+    assert run(["tci-ratio"] + argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"tirex: error: {name} contains non-finite entries\n"
+    assert not out.exists()
 
 
 def test_explicit_zero_ridge_is_the_default(tmp_path):

@@ -302,6 +302,11 @@ def test_knn_window_falls_back_only_on_open_tie_runs(monkeypatch):
     grid = rng.integers(-3, 4, size=2000).astype(float)
     knn_scores(grid, labels, rng.integers(-3, 4, size=500).astype(float), 51)
     assert scanned == [500]
+    # each window holds two points at the m-th distance, one on each side,
+    # though both outside neighbours are farther: the full scan breaks the tie
+    train, queries, m = WINDOW_CASES["equidistant on opposite sides"]
+    knn_scores(train, np.arange(train.size) % 2 == 0, np.asarray(queries), m)
+    assert scanned == [500, 4]
 
 
 def _knn_peak_bytes(train, labels, queries):
@@ -415,6 +420,31 @@ def test_sweep_parallel_matches_serial():
     parallel = sweep(spec, 200, "tirex1", 1, [20, 60], reps=4, seed=3, jobs=2)
     for a, b in zip(serial.cells, parallel.cells):
         assert a == b
+
+
+def test_sweep_starts_no_more_workers_than_replications(monkeypatch):
+    # the fork start method launches every worker at the first submit
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", SerialPool)
+    spec, _ = model_preset("A")
+    want = sweep(spec, 200, "tirex1", 1, [20], reps=3, seed=3)
+    for jobs in (2, 64):
+        assert sweep(spec, 200, "tirex1", 1, [20], reps=3, seed=3, jobs=jobs) == want
+    assert started == [2, 3]
 
 
 def test_sweep_rejects_bad_args():
