@@ -221,7 +221,10 @@ def _cmd_sweep(args):
 
 def _cmd_classify(args):
     _require(args, "d", "seed", "out")
-    if args.infile:
+    if args.infile is not None:
+        for flag in ("model", "spec", "n"):
+            if getattr(args, flag) is not None:
+                raise InvalidInputError(f"--in cannot be combined with --{flag}")
         ds = load_csv(args.infile, target=args.target)
     else:
         spec, n = _resolve_spec(args)

@@ -161,6 +161,16 @@ def csv_text(rows):
     return "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
 
 
+def second_moment(x):
+    """Symmetrized x^T x / n; InvalidInputError when it overflows, as rows
+    with entries beyond about 1e154 in magnitude make it do."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        moment = symmetrize(x.T @ x / x.shape[0])
+    if not np.isfinite(moment).all():
+        raise InvalidInputError("covariates too large: their second moment overflows")
+    return moment
+
+
 def standardize(ds, eig_floor=None, ridge=0.0):
     """Empirically standardize covariates.
 
@@ -172,7 +182,7 @@ def standardize(ds, eig_floor=None, ridge=0.0):
         raise InvalidInputError("standardization needs at least two rows")
     mean = ds.x.mean(axis=0)
     xc = ds.x - mean
-    cov = symmetrize(xc.T @ xc / ds.n)
+    cov = second_moment(xc)
     whitener = inv_sqrt(cov, eig_floor=eig_floor, ridge=ridge)
     z = xc @ whitener
     return StandardizedDataset(z=z, mean=mean, covariance=cov, whitener=whitener)

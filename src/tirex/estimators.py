@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import descending_order, standardize
+from .data import descending_order, second_moment, standardize
 from .errors import InvalidInputError, NumericalError
 from .linalg import (
     EigenDecomposition,
@@ -185,9 +185,8 @@ def _effective_k(method, k, n):
 def _pca_fit(ds, method, d):
     """Top-d eigenvectors of the covariate covariance (pca) or raw second
     moment (svd_pca), divide-by-n convention; no whitening."""
-    centered = method == "pca"
-    x = ds.x - ds.x.mean(axis=0) if centered else ds.x
-    candidate = symmetrize(x.T @ x / ds.n)
+    mean = ds.x.mean(axis=0) if method == "pca" else np.zeros(ds.p)
+    candidate = second_moment(ds.x - mean)
     eig = sym_eigen(candidate)
     basis = eig.eigenvectors[:, :d].copy()
     return SdrFit(
@@ -199,7 +198,7 @@ def _pca_fit(ds, method, d):
         basis_whitened=basis,
         projector_whitened=projector_from_basis(basis),
         basis_raw=basis,
-        mean=ds.x.mean(axis=0) if centered else np.zeros(ds.p),
+        mean=mean,
         whitener=None,
     )
 

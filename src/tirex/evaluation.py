@@ -31,7 +31,7 @@ from .synthetic import sample, true_projector
 
 DEFAULT_NEIGHBORS = 5
 TEST_FRACTION = 0.2
-# distances held at once by knn_scores (2 MiB of float64)
+# distances held at once by the k-NN full scan (2 MiB of float64)
 KNN_CHUNK_ELEMENTS = 2**18
 
 
@@ -84,32 +84,28 @@ def knn_scores(train_pts, train_labels, query_pts, n_neighbors=DEFAULT_NEIGHBORS
 
     Distance ties at the boundary resolve to the smaller training index; the
     hard prediction downstream is score > 0.5, so a tied 0.5 vote predicts
-    negative.  The neighbours are selected, not sorted: per query, a partial
-    selection finds the ``n_neighbors``-th smallest squared distance, every
-    strictly closer point is taken, and the remaining places go to the points
-    at exactly that distance in index order.  The chosen set is the one a
-    stable sort of the distances would put first.
+    negative.  The full scan, O(n_train * (d + 1)) per query in chunks of
+    about ``KNN_CHUNK_ELEMENTS`` distances, selects rather than sorts: a
+    partial selection finds the m-th smallest squared distance (m =
+    ``n_neighbors``), every strictly closer point is taken, and the
+    remaining places go to the points at exactly that distance in index
+    order, the set a stable sort would put first.  For d <= 7 it adds the
+    squared column differences one column at a time, bit-identical to
+    numpy's in-order sum of such short rows; from d = 8 on numpy's sum
+    groups the terms differently and is kept, so the tie sets do not move.
 
     In one dimension (finite coordinates) the training points are sorted once
-    per call, and the m = ``n_neighbors`` nearest points of a query lie
-    within m sorted positions on either side of its insertion point.  The
-    window of min(2m, n_train) such points answers the query in
-    O(log n_train + m) when exactly m of its points lie within the m-th
-    window distance and the points just outside both edges are farther: the
-    m nearest are then unique, and no tie needs breaking.  Every other query
-    takes the brute-force path, the one place ties are broken, so tie-heavy
-    inputs (integer-valued covariates) cost a full scan.  The squared
+    per call.  When a query's m nearest points are unique, they are a run
+    ts[l : l + m] of the sorted values with l in [i - m, i], i being the
+    query's insertion point, and a binary search finds l in O(log m) steps.
+    The run answers the query when both points just outside it are strictly
+    farther than its farther end, whatever the search returned; the vote is
+    then a difference of prefix counts of positive labels.  Every other query
+    takes the full scan, the one place ties are broken, so tie-heavy inputs
+    (integer-valued covariates) cost O(n_train) per query.  The squared
     distances are rounded, so a tie can also join distinct values: from
     q = -1e16 the points 0, 1, ..., 5 lie at only 3 distinct squared
     distances.
-
-    The brute-force path compares every query with every training point,
-    O(n_train * (d + 1)) per query.  For d <= 7 it adds the squared column
-    differences one column at a time, which is bit-identical to numpy's
-    in-order sum of such short rows; from d = 8 on numpy's sum groups the
-    terms differently, and that sum is kept so that the tie sets do not
-    move.  Both paths run the queries in chunks of about
-    ``KNN_CHUNK_ELEMENTS`` distances, which bounds the working set.
     """
     tp = np.asarray(train_pts, dtype=float)
     qp = np.asarray(query_pts, dtype=float)
@@ -129,7 +125,7 @@ def knn_scores(train_pts, train_labels, query_pts, n_neighbors=DEFAULT_NEIGHBORS
             f"n_neighbors must lie in [1, {tp.shape[0]}], got {n_neighbors}"
         )
     if tp.shape[1] == 1 and np.isfinite(tp).all() and np.isfinite(qp).all():
-        return _knn_window(tp[:, 0], positive, qp[:, 0], n_neighbors)
+        return _knn_runs(tp[:, 0], positive, qp[:, 0], n_neighbors)
     return _knn_brute(tp, positive, qp, n_neighbors)
 
 
@@ -159,38 +155,29 @@ def _knn_brute(tp, positive, qp, m):
     return out
 
 
-def _knn_window(t, positive, q, m):
-    n = t.size
+def _knn_runs(t, positive, q, m):
     order = np.argsort(t)
-    ts, positive_sorted = t[order], positive[order]
-    width = min(2 * m, n)
-    lo = np.clip(np.searchsorted(ts, q) - m, 0, n - width)
-    out = np.empty(q.size)
-    spill = np.zeros(q.size, dtype=bool)
-    chunk = max(1, KNN_CHUNK_ELEMENTS // width)
-    for start in range(0, q.size, chunk):
-        part = slice(start, start + chunk)
-        out[part], spill[part] = _window_votes(ts, positive_sorted, q[part], lo[part], width, m)
+    ts, n = t[order], t.size
+    positives_before = np.concatenate(([0], np.cumsum(positive[order])))
+    # first l in [i - m, i] whose ts[l + m] is no nearer than ts[l]; a lane
+    # leaves the search once lo == hi, so ts[mid + m] stays in range
+    i = np.searchsorted(ts, q)
+    lo, hi = np.maximum(i - m, 0), np.minimum(i, n - m)
+    live = np.flatnonzero(lo < hi)
+    while live.size:
+        mid, ql = (lo[live] + hi[live]) // 2, q[live]
+        shift = ql - ts[mid] > ts[mid + m] - ql
+        lo[live[shift]] = mid[shift] + 1
+        hi[live[~shift]] = mid[~shift]
+        live = live[lo[live] < hi[live]]
+    # certificate: both outside neighbours of ts[lo : lo + m] are farther
+    kth = np.maximum((q - ts[lo]) ** 2, (q - ts[lo + m - 1]) ** 2)
+    spill = (lo > 0) & ((q - ts[np.maximum(lo - 1, 0)]) ** 2 <= kth)
+    spill |= (lo + m < n) & ((q - ts[np.minimum(lo + m, n - 1)]) ** 2 <= kth)
+    out = (positives_before[lo + m] - positives_before[lo]) / m
     if spill.any():
         out[spill] = _knn_brute(t[:, None], positive, q[spill, None], m)
     return out
-
-
-def _window_votes(ts, positive_sorted, q, lo, width, m):
-    """Votes of the queries ``q`` from the sorted positions ``lo[i] +
-    range(width)``, and a mask of the queries whose m nearest points the
-    window cannot settle (see ``knn_scores``)."""
-    n = ts.size
-    pos = lo[:, None] + np.arange(width)
-    d2 = (q[:, None] - ts[pos]) ** 2
-    kth = np.partition(d2, m - 1, axis=1)[:, m - 1].copy()
-    near = d2 <= kth[:, None]
-    votes = np.count_nonzero(near & positive_sorted[pos], axis=1) / m
-    before, after = lo - 1, lo + width
-    spill = np.count_nonzero(near, axis=1) > m
-    spill |= (before >= 0) & ((q - ts[np.maximum(before, 0)]) ** 2 <= kth)
-    spill |= (after < n) & ((q - ts[np.minimum(after, n - 1)]) ** 2 <= kth)
-    return votes, spill
 
 
 def knn_predict(scores):

@@ -509,3 +509,35 @@ def test_fit_bad_floor_or_ridge_is_a_user_error(tmp_path, capsys, flag):
         err = capsys.readouterr().err
         assert err.startswith("tirex: error:") and name in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("method", [["--method", "tirex1", "--k", "2"],
+                                    ["--method", "pca", "--d", "1"]])
+def test_fit_overflowing_second_moment_is_a_user_error(tmp_path, capsys, method):
+    data, out = tmp_path / "big.csv", tmp_path / "f.json"
+    data.write_text("a,b,y\n1e200,1,2\n-1e200,2,3\n3,4,5\n")
+    assert run(["fit", "--in", str(data)] + method + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "tirex: error: covariates too large: their second moment overflows\n"
+    assert "Warning" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("argv, config, flag", [
+    (["--model", "B"], None, "model"),
+    (["--spec", "spec.json"], None, "spec"),
+    (["--n", "7"], None, "n"),
+    ([], {"model": "B"}, "model"),
+])
+def test_classify_input_file_excludes_model_spec_and_n(tmp_path, capsys, argv, config, flag):
+    # the CSV used to win silently
+    data, out = tmp_path / "d.csv", tmp_path / "c.csv"
+    assert run(["simulate", "--model", "A", "--n", "300", "--seed", "4",
+                "--out", str(data)]) == 0
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    assert run(["classify", "--in", str(data), "--methods", "pca", "--d", "1",
+                "--quantile-level", "0.9", "--seed", "1", "--out", str(out)] + argv) == 1
+    assert capsys.readouterr().err == f"tirex: error: --in cannot be combined with --{flag}\n"
+    assert not out.exists()

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -224,7 +224,8 @@ def _shuffled(values, seed):
     return np.random.default_rng(seed).permutation(np.asarray(values, dtype=float))
 
 
-# one-dimensional cases at the edges of the sorted window: (train, queries, m)
+# one-dimensional cases where the m nearest meet the data's ends or a tie
+# run: (train, queries, m)
 WINDOW_CASES = {
     "clipped at both ends": (
         _shuffled(np.linspace(-2.0, 3.0, 25) ** 3, 1), [-100.0, -8.0, 27.0, 100.0], 4,
@@ -242,8 +243,8 @@ WINDOW_CASES = {
         _shuffled([0.0, 1.0, 1.0, 2.0, 3.5, 3.5, 8.0], 4), [-1.0, 1.0, 2.75, 20.0], 4,
     ),
     # (q - t) ** 2 rounds distinct t to one distance when |q| ~ 1e16, so the
-    # tie at the m-th distance crosses the window's inner edge: the right
-    # edge for queries below the data, the left edge for queries above it
+    # tie at the m-th distance crosses the run's inner end: the right end
+    # for queries below the data, the left end for queries above it
     "far queries below the data": (
         _shuffled(np.arange(40.0), 3), [-1e16, -3e16, -5e16, -7e16], 1,
     ),
@@ -296,17 +297,47 @@ def test_knn_window_falls_back_only_on_open_tie_runs(monkeypatch):
     labels = rng.random(2000) < 0.2
     for m in (1, 51):
         knn_scores(train, labels, queries, m)
-    assert scanned == []  # continuous data: every tie run closes inside the window
+    assert scanned == []  # continuous data: the m nearest are unique
     # integer data, about 290 copies of each value: every query takes the
     # full scan
     grid = rng.integers(-3, 4, size=2000).astype(float)
     knn_scores(grid, labels, rng.integers(-3, 4, size=500).astype(float), 51)
     assert scanned == [500]
-    # each window holds two points at the m-th distance, one on each side,
-    # though both outside neighbours are farther: the full scan breaks the tie
+    # two points lie at the m-th distance, one on each side of the query:
+    # the full scan breaks the tie
     train, queries, m = WINDOW_CASES["equidistant on opposite sides"]
     knn_scores(train, np.arange(train.size) % 2 == 0, np.asarray(queries), m)
     assert scanned == [500, 4]
+
+
+@st.composite
+def _line_case(draw):
+    n = draw(st.integers(1, 60))
+    m = draw(st.integers(1, n))
+    train = draw(arrays(float, n, elements=_half_grid(-3, 3)))
+    queries = draw(arrays(float, draw(st.integers(1, 20)), elements=_half_grid(-5, 5)))
+    return train, queries, m
+
+
+@given(_line_case())
+@example(WINDOW_CASES["far queries below the data"])
+@example(WINDOW_CASES["far queries above the data"])
+@settings(max_examples=300, deadline=None)
+def test_knn_full_scan_takes_exactly_the_queries_with_tied_neighbours(case):
+    train, queries, m = case
+    queries = np.asarray(queries)
+    scanned = []
+    brute = evaluation._knn_brute
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "_knn_brute",
+                   lambda tp, pos, qp, m: scanned.append(qp[:, 0]) or brute(tp, pos, qp, m))
+        knn_scores(train, np.arange(train.size) % 2 == 0, queries, m)
+    # the m nearest are not unique when more than m points lie within the
+    # m-th smallest squared distance, computed as the full scan does
+    d2 = (queries[:, None] - train[None, :]) ** 2
+    kth = np.sort(d2, axis=1)[:, m - 1, None]
+    tied = np.count_nonzero(d2 <= kth, axis=1) > m
+    assert np.array_equal(np.concatenate(scanned or [np.empty(0)]), queries[tied])
 
 
 def _knn_peak_bytes(train, labels, queries):
@@ -340,8 +371,8 @@ def test_knn_working_set_is_a_few_chunks_on_the_full_scan():
 
 
 def test_knn_working_set_is_a_few_chunks_when_every_query_falls_back():
-    # integer values: every tie run leaves its window, so all 800 queries
-    # take the full scan after the window pass
+    # integer values: no query's m nearest are unique, so all 800 queries
+    # take the full scan
     rng = np.random.default_rng(0)
     train = rng.integers(-3, 4, size=(3200, 1)).astype(float)
     queries = rng.integers(-3, 4, size=(800, 1)).astype(float)
