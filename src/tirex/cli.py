@@ -70,6 +70,8 @@ def load_config(path):
             cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{path}: not valid JSON ({exc})") from None
+    except UnicodeDecodeError:
+        raise InvalidInputError(f"{path}: not UTF-8 text") from None
     if not isinstance(cfg, dict):
         raise InvalidInputError(f"{path}: config must be a JSON object")
     return cfg
@@ -151,6 +153,8 @@ def _model_spec(args):
             raise InvalidInputError(f"spec file not found: {spec_path}") from None
         except (KeyError, json.JSONDecodeError) as exc:
             raise InvalidInputError(f"{spec_path}: bad spec file ({exc})") from None
+        except UnicodeDecodeError:
+            raise InvalidInputError(f"{spec_path}: not UTF-8 text") from None
         preset_n = None
     return spec, preset_n
 

@@ -7,6 +7,8 @@ order, so any strictly increasing transform of y leaves results bit-identical.
 
 import csv
 import math
+import os
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -72,9 +74,18 @@ class StandardizedDataset:
 
 
 def descending_order(y):
-    """Indices sorting ``y`` descending; ties keep original order (stable)."""
-    y = np.asarray(y, dtype=float)
-    return np.argsort(-y, kind="stable")
+    """Indices sorting ``y`` descending; ties keep original order (stable).
+
+    Without ties the descending order is unique, so numpy's default (SIMD)
+    argsort already gives it; a tie or a NaN among the sorted values sends
+    the call to the stable sort.
+    """
+    neg = -np.asarray(y, dtype=float)
+    order = np.argsort(neg)
+    ranked = neg[order]
+    if (ranked[1:] > ranked[:-1]).all():  # False for equal neighbours and NaN
+        return order
+    return np.argsort(neg, kind="stable")
 
 
 def load_csv(path, target="y"):
@@ -84,62 +95,98 @@ def load_csv(path, target="y"):
     other column is a covariate, in file order.  Parse failures and
     non-finite cells raise InvalidInputError with 1-based (line, column)
     location, the header being line 1.
+
+    numpy's C reader parses the body of a regular file when it can: plain
+    unquoted decimals, one per header column on every line, all finite.
+    Any other input, and every malformed file, goes through the cell-by-cell
+    parser, which alone writes the error messages; both parse a cell to the
+    same float.
     """
-    # utf-8-sig drops the byte-order mark that spreadsheet exports may write
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InvalidInputError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if target not in header:
-            raise InvalidInputError(f"{path}: no column named {target!r} in header")
-        y_col = header.index(target)
-        feat_cols = [j for j in range(len(header)) if j != y_col]
-        if not feat_cols:
-            raise InvalidInputError(f"{path}: no covariate columns besides {target!r}")
-        xs, ys = [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise InvalidInputError(
-                    f"{path}: line {line_no} has {len(row)} fields, expected {len(header)}"
-                )
-            vals = []
-            for j, cell in enumerate(row):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise InvalidInputError(
-                        f"{path}: cannot parse {cell!r} at (line {line_no}, column {j + 1})"
-                    ) from None
-                if not math.isfinite(v):
-                    raise InvalidInputError(
-                        f"{path}: non-finite value {cell!r} at (line {line_no}, column {j + 1})"
-                    )
-                vals.append(v)
-            xs.append([vals[j] for j in feat_cols])
-            ys.append(vals[y_col])
-    if not ys:
-        raise InvalidInputError(f"{path}: no data rows")
+    try:
+        # utf-8-sig drops the byte-order mark that spreadsheet exports may write
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise InvalidInputError(f"{path}: empty file") from None
+            header = [h.strip() for h in header]
+            if target not in header:
+                raise InvalidInputError(f"{path}: no column named {target!r} in header")
+            y_col = header.index(target)
+            feat_cols = [j for j in range(len(header)) if j != y_col]
+            if not feat_cols:
+                raise InvalidInputError(f"{path}: no covariate columns besides {target!r}")
+            # a pipe cannot be opened again from its start
+            table = _read_body_fast(path, len(header)) if os.path.isfile(path) else None
+            if table is None:
+                table = _read_body(path, reader, len(header))
+    except UnicodeDecodeError:
+        raise InvalidInputError(f"{path}: not UTF-8 text") from None
     return Dataset(
-        x=np.array(xs, dtype=float),
-        y=np.array(ys, dtype=float),
+        x=table[:, feat_cols],
+        y=table[:, y_col],
         names=[header[j] for j in feat_cols],
     )
 
 
+def _read_body_fast(path, width):
+    """The rows after the header as an (n, width) array by numpy's C reader,
+    or None unless there is at least one row and every cell is finite."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # "input contained no data"
+            table = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
+                               encoding="utf-8-sig", ndmin=2)
+    except ValueError:  # the cell-by-cell parser reports the file's fault
+        return None
+    if table.shape[0] < 1 or table.shape[1] != width or not np.isfinite(table).all():
+        return None
+    return table
+
+
+def _read_body(path, reader, width):
+    """The rows left in ``reader`` as an (n, width) array, cell by cell."""
+    rows = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise InvalidInputError(
+                f"{path}: line {line_no} has {len(row)} fields, expected {width}"
+            )
+        vals = []
+        for j, cell in enumerate(row):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise InvalidInputError(
+                    f"{path}: cannot parse {cell!r} at (line {line_no}, column {j + 1})"
+                ) from None
+            if not math.isfinite(v):
+                raise InvalidInputError(
+                    f"{path}: non-finite value {cell!r} at (line {line_no}, column {j + 1})"
+                )
+            vals.append(v)
+        rows.append(vals)
+    if not rows:
+        raise InvalidInputError(f"{path}: no data rows")
+    return np.array(rows, dtype=float)
+
+
 def write_csv(ds, path):
     """Write a dataset as CSV: header (target column ``y`` last), then
-    shortest round-trip decimals."""
+    shortest round-trip decimals.
+
+    The header goes through ``csv.writer`` for its quoting; a number's
+    ``repr`` never needs quoting, so the body is joined directly, with
+    csv's ``\\r\\n`` line ends.
+    """
     names = ds.names if ds.names is not None else [f"x{j + 1}" for j in range(ds.p)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(names) + ["y"])
-        for i in range(ds.n):
-            writer.writerow([repr(float(v)) for v in ds.x[i]] + [repr(float(ds.y[i]))])
+        csv.writer(fh).writerow(list(names) + ["y"])
+        body = np.column_stack([ds.x, ds.y]).tolist()
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in body)
 
 
 def _csv_cell(v):
@@ -161,13 +208,28 @@ def csv_text(rows):
     return "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
 
 
+_TOO_LARGE = "covariates too large: their second moment overflows"
+
+
+def center(x):
+    """Column means of x and x minus them; InvalidInputError when a mean
+    overflows, as a column summing past about 1.8e308 makes it do.  An
+    overflowing difference is left to ``second_moment`` to refuse."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        xc = x - mean
+    if not np.isfinite(mean).all():
+        raise InvalidInputError(_TOO_LARGE)
+    return mean, xc
+
+
 def second_moment(x):
     """Symmetrized x^T x / n; InvalidInputError when it overflows, as rows
     with entries beyond about 1e154 in magnitude make it do."""
     with np.errstate(over="ignore", invalid="ignore"):
         moment = symmetrize(x.T @ x / x.shape[0])
     if not np.isfinite(moment).all():
-        raise InvalidInputError("covariates too large: their second moment overflows")
+        raise InvalidInputError(_TOO_LARGE)
     return moment
 
 
@@ -180,8 +242,7 @@ def standardize(ds, eig_floor=None, ridge=0.0):
     """
     if ds.n < 2:
         raise InvalidInputError("standardization needs at least two rows")
-    mean = ds.x.mean(axis=0)
-    xc = ds.x - mean
+    mean, xc = center(ds.x)
     cov = second_moment(xc)
     whitener = inv_sqrt(cov, eig_floor=eig_floor, ridge=ridge)
     z = xc @ whitener
@@ -211,4 +272,4 @@ def empirical_quantile(values, u):
     if not (0.0 < u <= 1.0):
         raise InvalidInputError(f"quantile level must lie in (0, 1], got {u}")
     m = min(max(ceil_index(n * u), 1), n)
-    return float(np.sort(values, kind="stable")[m - 1])
+    return float(np.sort(values)[m - 1])

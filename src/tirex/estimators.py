@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import descending_order, second_moment, standardize
+from .data import center, descending_order, second_moment, standardize
 from .errors import InvalidInputError, NumericalError
 from .linalg import (
     EigenDecomposition,
@@ -185,8 +185,8 @@ def _effective_k(method, k, n):
 def _pca_fit(ds, method, d):
     """Top-d eigenvectors of the covariate covariance (pca) or raw second
     moment (svd_pca), divide-by-n convention; no whitening."""
-    mean = ds.x.mean(axis=0) if method == "pca" else np.zeros(ds.p)
-    candidate = second_moment(ds.x - mean)
+    mean, xc = center(ds.x) if method == "pca" else (np.zeros(ds.p), ds.x)
+    candidate = second_moment(xc)
     eig = sym_eigen(candidate)
     basis = eig.eigenvectors[:, :d].copy()
     return SdrFit(

@@ -68,8 +68,11 @@ def auc(scores, truth):
     n_neg = t.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise InvalidInputError("AUC undefined: truth contains a single class")
-    # midranks: each run of tied scores shares the mean of its 1-based ranks
-    order = np.argsort(s, kind="stable")
+    if np.isnan(s).any():  # NaN ties nothing, so its rank would hang on the sort
+        raise InvalidInputError("scores contain NaN")
+    # midranks: each run of tied scores shares the mean of its 1-based ranks,
+    # so the order inside a run cannot reach the result
+    order = np.argsort(s)
     ordered = s[order]
     run_start = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
     run_end = np.r_[run_start[1:], s.size]

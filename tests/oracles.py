@@ -6,6 +6,8 @@ candidate matrices in ``tirex.estimators`` are checked against code that
 shares none of their prefix-sum arithmetic.
 """
 
+import csv
+
 import numpy as np
 
 from tirex.data import ceil_index
@@ -101,3 +103,14 @@ def knn_scores_oracle(train_pts, train_labels, query_pts, n_neighbors):
         nearest = np.argsort(d2, axis=1, kind="stable")[:, :n_neighbors]
         out[start : start + chunk] = labels[nearest].mean(axis=1)
     return out
+
+
+def write_csv_oracle(ds, path):
+    """``tirex.data.write_csv`` as one ``csv.writer`` row per data row: the
+    byte-for-byte reference for its joined body."""
+    names = ds.names if ds.names is not None else [f"x{j + 1}" for j in range(ds.p)]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(names) + ["y"])
+        for i in range(ds.n):
+            writer.writerow([repr(float(v)) for v in ds.x[i]] + [repr(float(ds.y[i]))])

@@ -522,6 +522,31 @@ def test_fit_overflowing_second_moment_is_a_user_error(tmp_path, capsys, method)
     assert "Warning" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("method", [["--method", "tirex1", "--k", "2"], ["--method", "pca"]])
+def test_fit_overflowing_column_mean_is_a_user_error(tmp_path, capsys, method):
+    # the column sum overflows before the second moment is formed
+    data, out = tmp_path / "big.csv", tmp_path / "f.json"
+    data.write_text("a,b,y\n1e308,1,2\n1e308,2,3\n3,4,5\n4,5,6\n")
+    assert run(["fit", "--in", str(data)] + method + ["--d", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "tirex: error: covariates too large: their second moment overflows\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--in", "--config", "--spec"])
+def test_input_file_that_is_not_utf8_is_a_user_error(tmp_path, capsys, flag):
+    bad, out = tmp_path / "bad.txt", tmp_path / "out.csv"
+    bad.write_bytes(b'{"seed": "\xff"}' if flag != "--in" else b"a,y\n\xff,2\n")
+    argv = {
+        "--in": ["fit", "--in", str(bad), "--method", "pca", "--d", "1"],
+        "--config": ["sweep", "--config", str(bad)],
+        "--spec": ["simulate", "--spec", str(bad), "--n", "5", "--seed", "1"],
+    }[flag]
+    assert run(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"tirex: error: {bad}: not UTF-8 text\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, config, flag", [
     (["--model", "B"], None, "model"),
     (["--spec", "spec.json"], None, "spec"),

@@ -1,9 +1,15 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from tirex import data
 from tirex.data import (
     Dataset,
     descending_order,
@@ -13,6 +19,9 @@ from tirex.data import (
     write_csv,
 )
 from tirex.errors import InvalidInputError, RankDeficiencyError
+from tirex.synthetic import model_preset, sample
+
+from oracles import write_csv_oracle
 
 
 def test_load_csv_basic(tmp_path):
@@ -63,6 +72,96 @@ def test_load_csv_target_override(tmp_path):
     ds = load_csv(path, target="resp")
     assert ds.names == ["a", "b"]
     assert np.array_equal(ds.y, [1.0, 4.0])
+
+
+def _cell_by_cell(monkeypatch):
+    monkeypatch.setattr(data, "_read_body_fast", lambda path, width: None)
+
+
+@pytest.mark.parametrize("text, fast", [
+    ("a,y\n1,2\n3,4\n", True),
+    ("a,y\n1.5,2\n", True),  # one data row
+    ("a,y,b\n1,2,3\n4,5,6\n", True),  # the target column in the middle
+    ("a,y\r\n1,2\r\n\r\n3,4\r\n\r\n", True),  # CRLF with blank lines
+    ("\ufeffa,y\n1,2\n", True),  # a byte-order mark
+    ("a,y\n 1 , 2 \n3,4", True),  # padded cells, no final newline
+    ("a,y\n-0.0,1e-320\n", True),
+    ('a,y\n"1.5",2\n', False),  # a quoted cell
+    ("a,y\n1_0,2\n", False),  # float() reads digit groups, numpy does not
+])
+def test_load_csv_both_paths_agree(tmp_path, monkeypatch, text, fast):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    width = text.partition("\n")[0].count(",") + 1
+    assert (data._read_body_fast(path, width) is not None) == fast
+    got = load_csv(path)
+    _cell_by_cell(monkeypatch)
+    want = load_csv(path)
+    assert got.x.tobytes() == want.x.tobytes() and got.x.shape == want.x.shape
+    assert got.y.tobytes() == want.y.tobytes()
+    assert got.names == want.names
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a,y\n1,2\nnan,4\n", "non-finite value 'nan' at (line 3, column 1)"),
+    ("a,y\n1,inf\n", "non-finite value 'inf' at (line 2, column 2)"),
+    ("a,y\n1,1e400\n", "non-finite value '1e400' at (line 2, column 2)"),
+    ('a,y\n"x",2\n', "cannot parse 'x' at (line 2, column 1)"),
+    ("a,y\n1,2\n#3,4\n", "cannot parse '#3' at (line 3, column 1)"),
+    ("a,y\n1,2\n  \n3,4\n", "line 3 has 1 fields, expected 2"),
+    ("a,y\n1,2,\n3,4,\n", "line 2 has 3 fields, expected 2"),
+    ("a,y\n1,2\n3\n", "line 3 has 1 fields, expected 2"),
+    ("a,y\n1,2\n3,4,5\n", "line 3 has 3 fields, expected 2"),
+    ("a,y\n1,2,3\n4,5,6\n", "line 2 has 3 fields, expected 2"),  # a wider body
+    ("a,y,b\n1,2\n3,4\n", "line 2 has 2 fields, expected 3"),
+    ("a,y\n", "no data rows"),
+    ("a,y\r\n\r\n", "no data rows"),
+])
+def test_load_csv_messages_come_from_the_cell_by_cell_parser(tmp_path, monkeypatch, text,
+                                                             message):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    for force_slow in (False, True):
+        if force_slow:
+            _cell_by_cell(monkeypatch)
+        with pytest.raises(InvalidInputError) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+
+def test_load_csv_reads_a_pipe_once(tmp_path):
+    # the header read buffers part of the body, which a second open of the
+    # pipe would miss
+    path = tmp_path / "d.csv"
+    write_csv(Dataset(x=np.arange(60000.0).reshape(20000, 3), y=np.arange(20000.0)), path)
+    code = "from tirex.data import load_csv; print(load_csv('/dev/stdin').y.sum())"
+    proc = subprocess.run([sys.executable, "-c", code], input=path.read_bytes(),
+                          capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) == load_csv(path).y.sum()
+
+
+def test_write_csv_body_matches_the_row_writer(tmp_path):
+    rng = np.random.default_rng(3)
+    ds = Dataset(x=rng.standard_normal((7, 3)) * 10.0 ** rng.integers(-300, 300, (7, 3)),
+                 y=np.array([0.0, -0.0, 1e-320, 5e-324, 1.7e308, -2.5, 1 / 3]),
+                 names=["a,b", 'say "hi"', "plain"])  # the first two need quoting
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_csv(ds, a)
+    write_csv_oracle(ds, b)
+    assert a.read_bytes() == b.read_bytes()
+    assert a.read_bytes().startswith(b'"a,b","say ""hi""",plain,y\r\n')
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_write_csv_model_b_file_matches_the_row_writer(tmp_path, seed):
+    spec, _ = model_preset("B")
+    ds = sample(spec, 40000, seed)
+    assert ds.x.shape == (40000, 30)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_csv(ds, a)
+    write_csv_oracle(ds, b)
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_write_csv_requires_features():
@@ -191,6 +290,34 @@ def test_descending_order_monotone_transform_invariance():
 def test_descending_order_handles_duplicates():
     y = np.array([5.0, 5.0, 5.0, 1.0, 9.0])
     assert descending_order(y).tolist() == [4, 0, 1, 2, 3]
+
+
+def _stable_order(y):
+    return np.argsort(-np.asarray(y, dtype=float), kind="stable")
+
+
+@pytest.mark.parametrize("y", [
+    np.array([3.0, 1.0, 3.0, 2.0, 1.0, 3.0]),  # integer-valued
+    np.full(9, 4.0),  # all equal
+    np.array([0.0, -0.0, 1.0, -0.0, 0.0]),  # equal zeros of either sign
+    np.array([7.0]),
+    np.array([1.0, 2.0]),
+    np.array([2.0, 2.0]),
+    np.array([1.0, np.nan, 2.0, np.nan]),
+    np.array([], dtype=float),
+    # long enough that numpy's default argsort is not an insertion sort
+    np.random.default_rng(4).integers(0, 50, 5000).astype(float),
+])
+def test_descending_order_equals_the_stable_sort(y):
+    assert np.array_equal(descending_order(y), _stable_order(y))
+
+
+@given(arrays(np.float64, st.integers(0, 300),
+              elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                 st.integers(-3, 3).map(float))))
+@settings(max_examples=100, deadline=None)
+def test_descending_order_equals_the_stable_sort_property(y):
+    assert np.array_equal(descending_order(y), _stable_order(y))
 
 
 def test_dataset_rejects_nonfinite():

@@ -91,6 +91,12 @@ def test_auc_hand_example():
     assert auc(scores, truth) == pytest.approx(0.75)
 
 
+def test_auc_refuses_nan_scores():
+    # a NaN equals nothing, so its rank would depend on the sort's tie order
+    with pytest.raises(InvalidInputError, match="NaN"):
+        auc(np.array([0.3, np.nan, np.nan]), np.array([1, 0, 1]))
+
+
 def test_auc_single_class_error():
     with pytest.raises(InvalidInputError):
         auc(np.array([0.3, 0.4]), np.array([0, 0]))
