@@ -49,7 +49,6 @@ from .evaluation import (
 )
 from .linalg import (
     EigenDecomposition,
-    Projector,
     frobenius_dist_sq,
     inv_sqrt,
     projector_from_basis,

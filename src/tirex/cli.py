@@ -208,7 +208,7 @@ def _cmd_fit(args):
     if args.basis_out:
         _write_text(args.basis_out, csv_text(f.basis_raw))
     if args.projector_out:
-        _write_text(args.projector_out, csv_text(f.projector_whitened.matrix))
+        _write_text(args.projector_out, csv_text(f.projector_whitened))
     return 0
 
 
@@ -436,7 +436,7 @@ def run(argv):
     except NumericalError as exc:
         print(f"tirex: numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (InvalidInputError, TirexError) as exc:
+    except TirexError as exc:
         print(f"tirex: error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -105,7 +105,7 @@ def load_csv(path, target="y"):
     try:
         # utf-8-sig drops the byte-order mark that spreadsheet exports may write
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
+            reader = _records(path, csv.reader(fh))
             try:
                 header = next(reader)
             except StopIteration:
@@ -128,6 +128,16 @@ def load_csv(path, target="y"):
         y=table[:, y_col],
         names=[header[j] for j in feat_cols],
     )
+
+
+def _records(path, reader):
+    """The records of a ``csv.reader``; a csv.Error, such as a cell over the
+    csv module's field size limit, becomes an InvalidInputError naming the
+    line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise InvalidInputError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _read_body_fast(path, width):

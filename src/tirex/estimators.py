@@ -28,7 +28,6 @@ from .data import center, descending_order, second_moment, standardize
 from .errors import InvalidInputError, NumericalError
 from .linalg import (
     EigenDecomposition,
-    Projector,
     orthonormal_columns,
     projector_from_basis,
     sym_eigen,
@@ -132,7 +131,7 @@ class SdrFit:
     candidate_matrix: np.ndarray
     eigen: EigenDecomposition
     basis_whitened: np.ndarray
-    projector_whitened: Projector
+    projector_whitened: np.ndarray
     basis_raw: np.ndarray
     mean: np.ndarray
     whitener: Optional[np.ndarray]
@@ -182,24 +181,22 @@ def _effective_k(method, k, n):
     return k
 
 
-def _pca_fit(ds, method, d):
-    """Top-d eigenvectors of the covariate covariance (pca) or raw second
-    moment (svd_pca), divide-by-n convention; no whitening."""
-    mean, xc = center(ds.x) if method == "pca" else (np.zeros(ds.p), ds.x)
-    candidate = second_moment(xc)
+def _sdr_fit(method, k, d, candidate, mean, whitener):
+    """The fit spanned by the top-d eigenvectors of ``candidate``; without a
+    whitener (the PCA variants) the raw basis is that basis itself."""
     eig = sym_eigen(candidate)
     basis = eig.eigenvectors[:, :d].copy()
     return SdrFit(
         method=method,
-        k=None,
+        k=k,
         d=d,
         candidate_matrix=candidate,
         eigen=eig,
         basis_whitened=basis,
         projector_whitened=projector_from_basis(basis),
-        basis_raw=basis,
+        basis_raw=basis if whitener is None else orthonormal_columns(whitener @ basis),
         mean=mean,
-        whitener=None,
+        whitener=whitener,
     )
 
 
@@ -223,7 +220,9 @@ class PreparedFit:
         self.method, self.d, self.n = method, d, ds.n
         self._first_order = method in _FIRST_ORDER_METHODS
         if method in _PCA_METHODS:
-            self._pca = _pca_fit(ds, method, d)
+            # the covariance (pca) or raw second moment (svd_pca), divide by n
+            mean, xc = center(ds.x) if method == "pca" else (np.zeros(ds.p), ds.x)
+            self._pca = _sdr_fit(method, None, d, second_moment(xc), mean, None)
         else:
             self._std = standardize(ds, eig_floor=eig_floor, ridge=ridge)
             self._order = descending_order(ds.y)
@@ -258,20 +257,8 @@ class PreparedFit:
         return [fits[k] for k in ks]
 
     def _fit_candidate(self, k, candidate):
-        eig = sym_eigen(candidate)
-        basis_w = eig.eigenvectors[:, :self.d].copy()
-        return SdrFit(
-            method=self.method,
-            k=k,
-            d=self.d,
-            candidate_matrix=candidate,
-            eigen=eig,
-            basis_whitened=basis_w,
-            projector_whitened=projector_from_basis(basis_w),
-            basis_raw=orthonormal_columns(self._std.whitener @ basis_w),
-            mean=self._std.mean,
-            whitener=self._std.whitener,
-        )
+        return _sdr_fit(self.method, k, self.d, candidate, self._std.mean,
+                        self._std.whitener)
 
 
 def fit(ds, method, k=None, d=None, eig_floor=None, ridge=0.0):

@@ -248,7 +248,7 @@ def _rep_projectors(spec, n, method, d, k_grid, seed, rep):
         prepared = PreparedFit(ds, method, d)
     except NumericalError:
         return [None] * len(k_grid)
-    return [None if isinstance(f, NumericalError) else f.projector_whitened.matrix
+    return [None if isinstance(f, NumericalError) else f.projector_whitened
             for f in prepared.fit_grid(k_grid)]
 
 
@@ -271,7 +271,7 @@ def sweep(spec, n, method, d, k_grid, reps, seed, jobs=1):
     for k in k_grid:
         if not (1 <= k <= n):
             raise InvalidInputError(f"k={k} outside [1, n={n}]")
-    truth = true_projector(spec).matrix
+    truth = true_projector(spec)
 
     rep_projectors = partial(_rep_projectors, spec, n, method, d, k_grid, seed)
     if jobs > 1:

@@ -1,5 +1,5 @@
 """Dense symmetric linear algebra: eigendecomposition, inverse square root,
-orthogonal projectors and Frobenius distances.
+orthogonal projectors (plain symmetric arrays) and Frobenius distances.
 
 All routines are deterministic: the eigensolver is LAPACK's symmetric
 driver (``numpy.linalg.eigh``), eigenvector signs follow a fixed rule and
@@ -39,14 +39,6 @@ class EigenDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-
-@dataclass(frozen=True)
-class Projector:
-    """Orthogonal projection matrix together with its rank."""
-
-    matrix: np.ndarray
-    rank: int
 
 
 def _check_finite(m, what):
@@ -130,7 +122,8 @@ def inv_sqrt(m, eig_floor=None, ridge=0.0):
 
 
 def projector_from_basis(basis):
-    """Orthogonal projector B B^T onto the span of orthonormal columns."""
+    """Orthogonal projector B B^T onto the span of orthonormal columns, as a
+    symmetric array."""
     basis = np.asarray(basis, dtype=float)
     if basis.ndim == 1:
         basis = basis[:, None]
@@ -138,16 +131,13 @@ def projector_from_basis(basis):
     gram = basis.T @ basis
     if np.max(np.abs(gram - np.eye(basis.shape[1]))) > 1e-8:
         raise InvalidInputError("basis columns are not orthonormal to 1e-8")
-    return Projector(matrix=symmetrize(basis @ basis.T), rank=basis.shape[1])
+    return symmetrize(basis @ basis.T)
 
 
-def _as_matrix(p):
-    return p.matrix if isinstance(p, Projector) else np.asarray(p, dtype=float)
-
-
-def frobenius_dist_sq(p1, p2):
-    """Squared Frobenius distance between two projectors (or plain matrices)."""
-    m1, m2 = _as_matrix(p1), _as_matrix(p2)
+def frobenius_dist_sq(m1, m2):
+    """Squared Frobenius distance ||M1 - M2||_F^2 between two matrices of one
+    shape, such as two projectors."""
+    m1, m2 = np.asarray(m1, dtype=float), np.asarray(m2, dtype=float)
     if m1.shape != m2.shape:
         raise InvalidInputError(f"dimension mismatch: {m1.shape} vs {m2.shape}")
     d = m1 - m2

@@ -32,7 +32,6 @@ import numpy as np
 from . import rng as rngmod
 from .data import Dataset
 from .errors import InvalidInputError
-from .linalg import Projector
 
 _QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-10, limit=200)
 
@@ -271,10 +270,11 @@ def sample(spec, n, seed, stream=0):
 
 
 def true_projector(spec):
-    """Orthogonal projector onto the heavy-tailed block span(e_{p-d+1..p})."""
+    """Orthogonal projector onto the heavy-tailed block span(e_{p-d+1..p}):
+    the diagonal p x p array with d trailing ones."""
     diag = np.zeros(spec.p)
     diag[spec.p - spec.d :] = 1.0
-    return Projector(matrix=np.diag(diag), rank=spec.d)
+    return np.diag(diag)
 
 
 def _sf_eps(spec, t):

@@ -7,6 +7,7 @@ import pytest
 
 from tirex.cli import run
 from tirex.data import load_csv
+from tirex.evaluation import geometric_k_grid
 
 
 def read(path):
@@ -566,3 +567,54 @@ def test_classify_input_file_excludes_model_spec_and_n(tmp_path, capsys, argv, c
                 "--quantile-level", "0.9", "--seed", "1", "--out", str(out)] + argv) == 1
     assert capsys.readouterr().err == f"tirex: error: --in cannot be combined with --{flag}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["header", "body"])
+def test_csv_cell_over_the_field_limit_is_a_user_error(tmp_path, capsys, where):
+    # csv.reader refuses a cell above 131072 characters with csv.Error
+    data, out = tmp_path / "d.csv", tmp_path / "fit.json"
+    big = "9" * 200_000
+    data.write_text(f"a,{big},y\n1,2,3\n" if where == "header" else f"a,y\n1,2\n{big},3\n")
+    assert run(["fit", "--in", str(data), "--method", "pca", "--d", "1",
+                "--out", str(out)]) == 1
+    line = 1 if where == "header" else 3
+    assert capsys.readouterr().err.startswith(f"tirex: error: {data}: line {line}: field")
+    assert not out.exists()
+
+
+SIM = ["simulate", "--n", "5", "--seed", "1", "--out", "o.csv"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (SIM, "exactly one of --model or --spec is required"),
+    (SIM + ["--model", "A", "--spec", "good.json"],
+     "exactly one of --model or --spec is required"),
+    (SIM + ["--spec", "missing.json"], "spec file not found: missing.json"),
+    (SIM + ["--spec", "no_d.json"], "no_d.json: bad spec file ('d')"),
+    (["simulate", "--spec", "good.json", "--seed", "1", "--out", "o.csv"],
+     "--n is required with --spec"),
+    (SIM[:-1] + [""], "--out '' is not a file path"),
+    (SIM[:-1] + ["/"], "--out '/' is not a file path"),
+    (["classify", "--model", "A", "--n", "300", "--methods", "tirex1,nope", "--d", "1",
+      "--seed", "1", "--out", "o.csv"], "unknown method 'nope' in --methods"),
+])
+def test_cli_user_errors_write_nothing(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "good.json").write_text(json.dumps(GOOD_SPEC))
+    (tmp_path / "no_d.json").write_text(json.dumps({k: v for k, v in GOOD_SPEC.items()
+                                                     if k != "d"}))
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"tirex: error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["good.json", "no_d.json"]
+
+
+def test_classify_default_k_grid(tmp_path):
+    out = tmp_path / "c.json"
+    assert run(["classify", "--model", "A", "--n", "1000", "--methods", "tirex1,pca",
+                "--d", "1", "--quantile-level", "0.9", "--seed", "1",
+                "--out", str(tmp_path / "c.csv"), "--json-out", str(out)]) == 0
+    meta = json.loads(out.read_text())
+    n_train = meta["n_train"]
+    grid = sorted(set(geometric_k_grid(max(1, n_train // 100), n_train, 30)))
+    chosen = {s["method"]: s["chosen_k"] for s in meta["scores"]}
+    assert chosen["tirex1"] in grid and chosen["pca"] is None

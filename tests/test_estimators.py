@@ -281,7 +281,7 @@ def test_fit_cume_equals_tirex1_at_k_n():
     assert np.array_equal(f1.candidate_matrix, f2.candidate_matrix)
     assert np.array_equal(f1.eigen.eigenvalues, f2.eigen.eigenvalues)
     assert np.array_equal(f1.basis_whitened, f2.basis_whitened)
-    assert np.array_equal(f1.projector_whitened.matrix, f2.projector_whitened.matrix)
+    assert np.array_equal(f1.projector_whitened, f2.projector_whitened)
     assert np.array_equal(f1.basis_raw, f2.basis_raw)
 
 
@@ -290,7 +290,7 @@ def test_fit_cuve_equals_tirex2_at_k_n():
     f1 = fit(ds, "tirex2", k=ds.n, d=2)
     f2 = fit(ds, "cuve", d=2)
     assert np.array_equal(f1.candidate_matrix, f2.candidate_matrix)
-    assert np.array_equal(f1.projector_whitened.matrix, f2.projector_whitened.matrix)
+    assert np.array_equal(f1.projector_whitened, f2.projector_whitened)
 
 
 def test_fit_univariate_projector_is_one():
@@ -299,7 +299,7 @@ def test_fit_univariate_projector_is_one():
     for method, k in [("tirex1", 10), ("tirex2", 10), ("cume", None),
                       ("cuve", None), ("pca", None), ("svd_pca", None)]:
         f = fit(ds, method, k=k, d=1)
-        assert np.allclose(f.projector_whitened.matrix, [[1.0]])
+        assert np.allclose(f.projector_whitened, [[1.0]])
 
 
 def test_fit_monotone_transform_invariance_bitwise():
@@ -372,8 +372,7 @@ def test_prepared_fit_matches_fit_at_every_k():
             assert got.k == want.k
             assert np.array_equal(got.candidate_matrix, want.candidate_matrix)
             assert np.array_equal(got.basis_raw, want.basis_raw)
-            assert np.array_equal(got.projector_whitened.matrix,
-                                  want.projector_whitened.matrix)
+            assert np.array_equal(got.projector_whitened, want.projector_whitened)
     assert PreparedFit(ds, "cuve", d=1).fit(5).k == ds.n
     assert PreparedFit(ds, "pca", d=1).fit(5).k is None
     with pytest.raises(InvalidInputError):

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from tirex import evaluation
 from tirex.errors import InvalidInputError
 from tirex.evaluation import (
+    SweepReport,
     am_risk,
     auc,
     classify_experiment,
@@ -392,7 +393,7 @@ def test_knn_working_set_is_a_few_chunks_when_every_query_falls_back():
 
 def test_sweep_oracle_fitter_zero_error():
     spec, _ = model_preset("A")
-    truth = true_projector(spec).matrix
+    truth = true_projector(spec)
     for k in (5, 10):
         cell = sweep_cell(k, [truth] * 4, truth)
         assert cell.bias_sq == 0.0
@@ -404,10 +405,19 @@ def test_sweep_oracle_fitter_zero_error():
 def test_sweep_fixed_wrong_projector():
     spec, _ = model_preset("A")
     wrong = np.diag([1.0, 0.0])  # orthogonal to the true e2 e2^T
-    cell = sweep_cell(5, [wrong] * 3, true_projector(spec).matrix)
+    cell = sweep_cell(5, [wrong] * 3, true_projector(spec))
     assert cell.variance == 0.0
     assert cell.bias_sq == pytest.approx(2.0)
     assert cell.mse == pytest.approx(2.0)
+
+
+def test_sweep_cell_with_every_replication_failed_is_nan():
+    spec, _ = model_preset("A")
+    cell = sweep_cell(5, [None] * 3, true_projector(spec))
+    assert np.isnan(cell.bias_sq) and np.isnan(cell.variance) and np.isnan(cell.mse)
+    assert cell.reps_ok == 0 and cell.failures == 3
+    report = SweepReport(method="tirex1", d=1, reps=3, cells=[cell])
+    assert report.to_csv_text() == "k,bias_sq,variance,mse\n5,nan,nan,nan\n"
 
 
 def test_sweep_decomposition_identity():

@@ -135,20 +135,20 @@ def test_inv_sqrt_whitens_spd_matrices():
 
 def test_projector_from_basis_single_axis():
     p = projector_from_basis(np.array([[0.0], [1.0]]))
-    assert p.rank == 1
-    assert np.allclose(p.matrix, np.diag([0.0, 1.0]))
+    assert np.trace(p) == 1
+    assert np.allclose(p, np.diag([0.0, 1.0]))
 
 
 def test_projector_from_basis_full_basis():
     p = projector_from_basis(np.eye(4))
-    assert p.rank == 4
-    assert np.allclose(p.matrix, np.eye(4))
+    assert np.trace(p) == 4
+    assert np.allclose(p, np.eye(4))
 
 
 def test_projector_from_basis_diagonal_direction():
     s = 1.0 / np.sqrt(2.0)
     p = projector_from_basis(np.array([s, s]))
-    assert np.allclose(p.matrix, np.full((2, 2), 0.5), atol=1e-12)
+    assert np.allclose(p, np.full((2, 2), 0.5), atol=1e-12)
 
 
 def test_projector_rejects_non_orthonormal():
@@ -163,9 +163,9 @@ def test_projector_invariants_random():
         d = int(rng.integers(1, dim + 1))
         basis = orthonormal_columns(rng.standard_normal((dim, d)))
         p = projector_from_basis(basis)
-        assert np.abs(p.matrix @ p.matrix - p.matrix).max() < 1e-10
-        assert np.abs(p.matrix - p.matrix.T).max() == 0.0
-        assert abs(np.trace(p.matrix) - p.rank) < 1e-8
+        assert np.abs(p @ p - p).max() < 1e-10
+        assert np.abs(p - p.T).max() == 0.0
+        assert abs(np.trace(p) - d) < 1e-8
 
 
 def test_orthonormal_columns_rejects_dependent_input():
@@ -206,7 +206,7 @@ def test_frobenius_trace_identity_equal_rank():
         p1 = projector_from_basis(orthonormal_columns(rng.standard_normal((dim, d))))
         p2 = projector_from_basis(orthonormal_columns(rng.standard_normal((dim, d))))
         lhs = frobenius_dist_sq(p1, p2)
-        rhs = 2 * d - 2 * np.trace(p1.matrix @ p2.matrix)
+        rhs = 2 * d - 2 * np.trace(p1 @ p2)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 

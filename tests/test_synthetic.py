@@ -81,15 +81,15 @@ def test_model_c_tau_one_constant_covariates():
 def test_true_projector_model_a():
     spec, _ = model_preset("A")
     p = true_projector(spec)
-    assert np.array_equal(p.matrix, np.diag([0.0, 1.0]))
-    assert p.rank == 1
+    assert np.array_equal(p, np.diag([0.0, 1.0]))
+    assert np.trace(p) == 1
 
 
 def test_true_projector_model_b_block():
     spec, _ = model_preset("B")
     p = true_projector(spec)
     want = np.diag([0.0] * 25 + [1.0] * 5)
-    assert np.array_equal(p.matrix, want)
+    assert np.array_equal(p, want)
 
 
 def test_mixture_spec_validation():
