@@ -9,14 +9,24 @@ over u in [0, 1] collapse to closed forms over prefix sums:
     M1 = (1/k^3) sum_{j<=k} S_j S_j^T,    S_j = sum_{i<=j} z_(i)
     M2 = (1/k^3) sum_{j<=k} T_j T_j^T,    T_j = sum_{i<=j} (z_(i) z_(i)^T - I)
 
-computed incrementally in blocks of rows, each a running cumulative sum and
-one matrix product (BLAS), which costs O(n log n) for the sort plus
-O(k p^2) (first order) or O(k p^3) (second order).  A whole k grid is one
-pass: every grid k ends a block and snapshots the running sum, so the grid
-costs O(k_max p^2) or O(k_max p^3) once, not once per k.  Choosing
-k = n recovers the classical cumulative slicing matrices (CUME / CUVE); both
-identities are enforced here and cross-checked against brute-force double
-sums in the tests.
+computed incrementally in blocks of b rows.  M1 takes a running cumulative
+sum and one matrix product per block: O(n log n) for the sort plus
+O(k p^2).  M2 never forms the p x p prefix sums T_j: a row's change to
+T_j^2 is two rank-one terms plus multiples of T_{j-1}, z z^T and I, so a
+block costs a few (b x p) products and one p x p product,
+O(n log n + k p (p + b)) in all, or O(k p^2) at a fixed block, with
+O(b^2 + b p) memory.  That is below the paper's stated
+O(k p^3) for the second order.  A whole k grid is one pass: every grid k
+ends a block and snapshots the running sum, so the grid costs its largest
+k once, not once per k.  Choosing k = n recovers the classical cumulative
+slicing matrices (CUME / CUVE); both identities are enforced here and
+cross-checked against brute-force double sums in the tests.
+
+``tail_increments`` holds the processes' summands, the kernel that
+``process_verify`` checks against the Gaussian limit.  The M2 recurrence
+does not call it; a property test ties the two together instead, comparing
+every grid matrix with the Gram of the stacked ``tail_increments`` prefix
+sums (``tests/oracles.py``).
 """
 
 from dataclasses import dataclass
@@ -43,12 +53,15 @@ _FIRST_ORDER_METHODS = ("tirex1", "cume")
 _K_FORCED_TO_N = ("cume", "cuve")
 _PCA_METHODS = ("pca", "svd_pca")
 
-_BLOCK = 256
+_BLOCK = 128
 
 
 def _order_indices(order, n):
+    """``order`` as an index array, checked to be a permutation of range(n)."""
     idx = np.asarray(order)
-    if idx.shape != (n,):
+    if not (idx.shape == (n,) and np.issubdtype(idx.dtype, np.integer)
+            and (n == 0 or (idx.min() >= 0 and idx.max() < n))
+            and (np.bincount(idx.astype(np.intp, copy=False), minlength=n) == 1).all()):
         raise InvalidInputError(f"order must be a permutation of {n} row indices")
     return idx
 
@@ -68,35 +81,73 @@ def tail_increments(rows, second_order):
     return rows[:, None, :]
 
 
+def _add_first_order_block(rows, running, total):
+    """Add sum_j S_j S_j^T over the block's prefix sums S_j to ``total`` and
+    return S at the block's end; ``running`` is S at its start.  ``rows`` is
+    a scratch copy and is overwritten."""
+    rows[0] += running  # seeding keeps the cumulative sum sequential across blocks
+    prefixes = np.cumsum(rows, axis=0)
+    total += prefixes.T @ prefixes
+    return prefixes[-1]
+
+
+def _add_second_order_block(rows, running, total):
+    """Add sum_j T_j^2 over the block's prefix sums T_j to ``total`` and
+    return T at the block's end; ``running`` is T at its start.
+
+    Row l (from 0) moves T_{l-1} to T_l = T_{l-1} + z_l z_l^T - I, so
+
+        T_l^2 - T_{l-1}^2 = u_l z_l^T + z_l u_l^T - 2 T_{l-1}
+                            + (|z_l|^2 - 2) z_l z_l^T + I,   u_l = T_{l-1} z_l,
+
+    and that step enters the w_l = b - l prefix sums from row l on.  So the
+    block adds b T^2 (T = ``running``) plus the w-weighted steps.  Writing
+    T_{l-1} = T + sum_{m<l} (z_m z_m^T - I) turns the -2 T_{l-1} terms into
+    -2 (sum w) T and a row weight -2 c_m on z_m z_m^T, with c_m the sum of w
+    over the rows after m.  Every term is a (b x p)^T (b x p) product or
+    p x p; no p x p matrix is formed per row.
+    """
+    b, p = rows.shape
+    pos = np.arange(b, dtype=float)  # rows of the block before row l
+    w = b - pos
+    c = w * (w - 1) / 2
+    # u_l = T_{l-1} z_l, one row per l
+    u = rows @ running + np.tril(rows @ rows.T, -1) @ rows - pos[:, None] * rows
+    cross = (w[:, None] * u).T @ rows
+    sq = np.einsum("ij,ij->i", rows, rows)
+    total += cross + cross.T + (rows * (w * (sq - 2) - 2 * c)[:, None]).T @ rows
+    total += running @ (b * running - 2 * w.sum() * np.eye(p))
+    total[np.diag_indices(p)] += b * (b + 1) * (2 * b + 1) / 6  # sum of w + 2 c
+    running = running + rows.T @ rows
+    running[np.diag_indices(p)] -= b
+    return running
+
+
 def _prefix_grams(z, order, ks, second_order):
     """Candidate matrices (1/k^3) sum_{j<=k} T_j T_j^T for every k of ``ks``
     (ascending) in one pass over the target-ordered rows.
 
-    The increments of the prefix sums T_j are ``tail_increments``.  Rows
-    run in blocks of at most ``_BLOCK``: a running cumulative sum, then one
-    matrix product over the block's stacked prefix rows.  Every k of the
-    grid ends a block and snapshots the running Gram matrix, so the whole
-    grid costs O(k_max p^2) or O(k_max p^3) once, and memory stays at
-    O(_BLOCK r p).
+    Rows run in blocks of at most ``_BLOCK``, each adding its prefixes'
+    share of the sum.  First order: a cumulative sum and one (b x p)^T
+    (b x p) product.  Second order: the rank-one recurrence of
+    ``_add_second_order_block``, a few (b x p) products and one p x p
+    product.  Every k of the grid ends a block and snapshots the running
+    sum, so the whole grid costs O(k_max p^2) or O(k_max p (p + b)) once,
+    with memory O(b p) or O(b^2 + b p).
     """
     z = np.asarray(z, dtype=float)
     n, p = z.shape
     idx = _order_indices(order, n)
+    add_block = _add_second_order_block if second_order else _add_first_order_block
     total = np.zeros((p, p))
-    running = np.zeros((p if second_order else 1, p))
+    running = np.zeros((p, p)) if second_order else np.zeros(p)
     out = []
     start = 0
     for k in ks:
         _check_k(k, n)
         while start < k:
             stop = min(start + _BLOCK, k)
-            steps = tail_increments(z[idx[start:stop]], second_order)
-            # seeding the first step keeps the running sum sequential across blocks
-            steps[0] += running
-            prefixes = np.cumsum(steps, axis=0)
-            running = prefixes[-1]
-            flat = prefixes.reshape(-1, p)
-            total += flat.T @ flat
+            running = add_block(z[idx[start:stop]], running, total)
             start = stop
         out.append(symmetrize(total / float(k) ** 3))
     return out
@@ -204,8 +255,9 @@ class PreparedFit:
     """One method on one dataset, prepared once and fitted at any k.
 
     The covariates are whitened and the target is sorted here, once, so each
-    ``fit(k)`` costs only the O(k p^2) (first-order) or O(k p^3)
-    (second-order) candidate matrix and a p x p eigensolve, and ``fit_grid``
+    ``fit(k)`` costs only the O(k p^2) (first-order) or O(k p (p + b))
+    (second-order, block size b) candidate matrix and a p x p eigensolve,
+    and ``fit_grid``
     builds the candidate matrices of a whole k grid in one pass.  The PCA
     variants have no k and are fitted here outright.  Raises
     InvalidInputError for an unknown method or a bad d, and NumericalError

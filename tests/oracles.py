@@ -12,6 +12,7 @@ import numpy as np
 
 from tirex.data import ceil_index
 from tirex.errors import InvalidInputError
+from tirex.estimators import tail_increments
 from tirex.linalg import symmetrize
 
 
@@ -55,6 +56,24 @@ def b_process(z, order, k, u):
     idx = _order_indices(order, n)
     zm = z[idx[:m]]
     return symmetrize((zm.T @ zm - m * np.eye(p)) / k)
+
+
+def prefix_gram_oracle(z, order, ks, second_order):
+    """Candidate matrices (1/k^3) sum_{j<=k} T_j T_j^T for every k of ``ks``
+    as one Gram product per k: every prefix sum of the ``tail_increments``
+    (1 x p, or p x p at second order) stacked into one tall matrix.  The
+    reference for the blocked grid in ``tirex.estimators``, and what ties
+    its second-order recurrence to the kernel ``verify-process`` checks."""
+    z = np.asarray(z, dtype=float)
+    n, p = z.shape
+    idx = _order_indices(order, n)
+    out = []
+    for k in ks:
+        _check_k(k, n)
+        prefixes = np.cumsum(tail_increments(z[idx[:k]], second_order), axis=0)
+        flat = prefixes.reshape(-1, p)
+        out.append(symmetrize(flat.T @ flat / float(k) ** 3))
+    return out
 
 
 def cume_matrix_oracle(z, y):

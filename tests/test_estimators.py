@@ -1,12 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tirex.data import Dataset, descending_order, standardize
 from tirex.errors import InvalidInputError
-from tirex.estimators import fit, tail_increments, tirex1_matrix, tirex2_matrix
+from tirex.estimators import (
+    _BLOCK,
+    _prefix_grams,
+    fit,
+    tail_increments,
+    tirex1_matrix,
+    tirex2_matrix,
+)
 from tirex.linalg import sym_eigen
 
-from oracles import b_process, c_process, cume_matrix_oracle, cuve_matrix_oracle
+from oracles import (
+    b_process,
+    c_process,
+    cume_matrix_oracle,
+    cuve_matrix_oracle,
+    prefix_gram_oracle,
+)
 
 
 def integral_oracle_tirex1(z, order, k):
@@ -185,6 +200,67 @@ def test_tirex2_blocked_accumulation_matches_direct():
         want = np.einsum("jab,jcb->ac", t, t) / float(k) ** 3
         got = tirex2_matrix(z, order, k)
         assert np.abs(got - 0.5 * (want + want.T)).max() < 1e-15
+
+
+def assert_grid_matches_gram_oracle(z, order, ks):
+    for second_order in (False, True):
+        got = _prefix_grams(z, order, ks, second_order)
+        want = prefix_gram_oracle(z, order, ks, second_order)
+        for k, g, w in zip(ks, got, want):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), (k, second_order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(1, 5),
+    n=st.integers(1, 2 * _BLOCK + 3),
+    seed=st.integers(0, 2**32 - 1),
+    mean=st.sampled_from([0.0, 50.0]),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    picks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+)
+def test_grid_matches_gram_oracle(p, n, seed, mean, scale, picks):
+    # a sorted grid with repeats, over row counts on both sides of _BLOCK
+    rng = np.random.default_rng(seed)
+    z = mean + scale * rng.standard_normal((n, p))
+    ks = sorted(1 + int(u * (n - 1)) for u in picks)
+    assert_grid_matches_gram_oracle(z, rng.permutation(n), ks)
+
+
+@pytest.mark.parametrize("p", [1, 4])
+@pytest.mark.parametrize("mean,scale", [(0.0, 1.0), (50.0, 1.0), (0.0, 1e-3), (0.0, 1e3)])
+def test_grid_matches_gram_oracle_at_block_edges(p, mean, scale):
+    rng = np.random.default_rng(5)
+    n = 2 * _BLOCK + 5
+    z = mean + scale * rng.standard_normal((n, p))
+    ks = [1, 1, _BLOCK - 1, _BLOCK, _BLOCK, _BLOCK + 1, 2 * _BLOCK, n]
+    assert_grid_matches_gram_oracle(z, rng.permutation(n), ks)
+
+
+def test_grid_matches_gram_oracle_when_second_order_sum_returns_to_zero():
+    # whitened rows summed over all n give T_n = 0; taking the largest |z|
+    # first makes T rise and then return to 0, so late T_j are small
+    rng = np.random.default_rng(6)
+    ds = Dataset(x=rng.standard_normal((3 * _BLOCK, 3)), y=np.zeros(3 * _BLOCK))
+    z = standardize(ds).z
+    order = np.argsort(-np.einsum("ij,ij->i", z, z))
+    n = z.shape[0]
+    assert np.abs(z.T @ z - n * np.eye(3)).max() < 1e-9 * n
+    assert_grid_matches_gram_oracle(z, order, [1, _BLOCK, n // 2, n - 1, n])
+
+
+@pytest.mark.parametrize("order", [
+    [0, 0, 0, 0],          # repeated rows
+    [0.0, 1.0, 2.0, 3.0],  # not integer
+    [0, 1, 2, 4],          # an index past n
+    [-1, 0, 1, 2],         # a negative index
+    [0, 1, 2],             # too short
+])
+def test_candidate_matrices_reject_an_order_that_is_not_a_permutation(order):
+    z = np.arange(8.0).reshape(4, 2)
+    for matrix in (tirex1_matrix, tirex2_matrix):
+        with pytest.raises(InvalidInputError, match="permutation"):
+            matrix(z, order, 2)
 
 
 def test_cume_oracle_single_row():
