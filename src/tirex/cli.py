@@ -265,7 +265,8 @@ def _cmd_verify_process(args):
     sys.stdout.write(
         f"process check {'PASSED' if report.passed else 'FAILED'} "
         f"({len(report.cov_entries)} covariance entries, "
-        f"{len(report.mean_entries)} mean entries, gate 4*SE)\n"
+        f"{len(report.mean_entries)} mean entries, gate 4*SE, "
+        f"worst {report.max_cov_deviation_in_se():.2f} SE)\n"
     )
     return 0
 

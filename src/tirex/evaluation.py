@@ -15,7 +15,6 @@ class-imbalance-resistant AM risk (mean of false-positive and false-negative
 rates) and the AUC.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import Optional
@@ -238,6 +237,15 @@ def sweep_cell(k, projectors, truth):
     variance = float(np.mean([frobenius_dist_sq(m, mean_mat) for m in mats]))
     mse = float(np.mean([frobenius_dist_sq(m, truth) for m in mats]))
     return SweepCell(k, bias_sq, variance, mse, len(mats), failures)
+
+
+def ProcessPoolExecutor(max_workers):
+    """A ``concurrent.futures`` process pool, imported on first use: the
+    import loads multiprocessing, which only ``sweep`` with jobs > 1 needs.
+    Tests replace this name with a serial stand-in."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
 
 
 def _rep_projectors(spec, n, method, d, k_grid, seed, rep):

@@ -18,8 +18,14 @@ covariates, for which every limit quantity is exact: D_n = 0 and nu = 0, so
 the centered process is sqrt(k) * D_hat_n itself; Xi = I for the first-order
 process, and Xi is given by Wick pairings for the second-order one.  That
 isolates implementation error from model error.
+
+Replications run on a thread pool with one thread per CPU this process may
+use (``taskset -c 0 tirex verify-process ...`` pins the check to one core).
+Replication r draws from its own stream and writes its own row, so every
+output is identical for any thread count.
 """
 
+import os
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -131,13 +137,17 @@ class ProcessCheckReport:
         return self.mean_ok and self.cov_ok
 
     def max_cov_deviation_in_se(self):
-        return max((e.deviation / e.se if e.se > 0 else np.inf) for e in self.cov_entries)
+        """The largest covariance deviation in standard errors.  An entry
+        with se == 0 counts as 0 when it matches exactly and as inf if not."""
+        return max(e.deviation / e.se if e.se > 0 else (np.inf if e.deviation else 0.0)
+                   for e in self.cov_entries)
 
     def to_csv_text(self):
         columns = [f.name for f in fields(CovCheckEntry)]
         return csv_text([columns] + [[getattr(e, c) for c in columns] for e in self.cov_entries])
 
     def to_json_dict(self):
+        worst = self.max_cov_deviation_in_se()
         return {
             "config": self.config_summary,
             "gate": "4 * MC standard error per entry, no multiplicity "
@@ -146,6 +156,7 @@ class ProcessCheckReport:
             "passed": self.passed,
             "mean_ok": self.mean_ok,
             "cov_ok": self.cov_ok,
+            "max_cov_deviation_se": worst if np.isfinite(worst) else None,
             "n_mean_entries": len(self.mean_entries),
             "n_cov_entries": len(self.cov_entries),
             "mean_failures": _failures(self.mean_entries),
@@ -167,6 +178,16 @@ def _process_values(z, y, k, u_grid, order):
     return prefixes[[min(ceil_index(k * u), k) - 1 for u in u_grid]] / k
 
 
+def _replication_workers(n_reps):
+    """Threads for the replication loop: one per CPU this process may use,
+    never more than there are replications."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(n_reps, cpus)
+
+
 def covariance_check(cfg):
     """Simulate the scaled process and gate mean and covariance entrywise.
 
@@ -174,8 +195,13 @@ def covariance_check(cfg):
     nu = 0, so the replications are sqrt(k) * D_hat_n and their empirical
     cross-covariances over the u-grid are compared to (u_s ^ u_t) Xi; the
     per-entry standard error is estimated from the spread of the centered
-    cross products across replications.
+    cross products across replications.  Worker i of w runs replications
+    i, i + w, i + 2w, ...; the draws and the arithmetic release the GIL for
+    most of each replication.
     """
+    # imported here, so that the other subcommands do not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
     grid = list(cfg.u_grid)
     n_u = len(grid)
     limit_cov = cfg.generator.xi(cfg.order)
@@ -183,9 +209,15 @@ def covariance_check(cfg):
     scale = np.sqrt(cfg.k)
 
     devs = np.empty((cfg.n_reps, n_u, q))
-    for r in range(cfg.n_reps):
-        z, y = cfg.generator.sample(cfg.n, rngmod.stream(cfg.seed, 4, r))
-        devs[r] = scale * _process_values(z, y, cfg.k, grid, cfg.order)
+    workers = _replication_workers(cfg.n_reps)
+
+    def run_share(first):
+        for r in range(first, cfg.n_reps, workers):
+            z, y = cfg.generator.sample(cfg.n, rngmod.stream(cfg.seed, 4, r))
+            devs[r] = scale * _process_values(z, y, cfg.k, grid, cfg.order)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(run_share, range(workers)))
 
     mean_entries = []
     means = devs.mean(axis=0)

@@ -3,7 +3,8 @@
 Every stochastic routine in the package draws from a Philox generator keyed
 by ``(seed, *stream)``.  Stream keys make replications order-independent:
 replication ``r`` of a Monte-Carlo experiment always sees the same draws no
-matter how many workers run or in which order cells complete.
+matter how many worker processes or threads run or in which order cells
+complete.
 
 Stream-key conventions used across the package (first component = purpose):
 

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -241,6 +242,24 @@ def test_verify_process_smoke(tmp_path, capsys):
     assert out.read_text().startswith("u_s,u_t,row,col,")
 
 
+def test_verify_process_output_ignores_the_cpu_count(tmp_path, capsys, monkeypatch):
+    from tirex.process_verify import _replication_workers
+
+    outputs = []
+    for cpus in (1, 4):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        assert _replication_workers(120) == cpus
+        out, js = tmp_path / f"vp{cpus}.csv", tmp_path / f"vp{cpus}.json"
+        assert run(["verify-process", "--p", "2", "--n", "400", "--k", "40",
+                    "--reps", "120", "--order", "2", "--seed", "3",
+                    "--out", str(out), "--json-out", str(js)]) == 0
+        outputs.append((read(out), read(js), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert re.fullmatch(r"process check (PASSED|FAILED) \(.*, gate 4\*SE, "
+                        r"worst \d+\.\d\d SE\)\n", outputs[0][2])
+
+
 def test_tci_ratio_point_mode(tmp_path):
     out = tmp_path / "r.json"
     code = run(["tci-ratio", "--model", "C", "--y", "2.0", "--v", "1",
@@ -284,14 +303,27 @@ def test_tci_ratio_threshold_must_be_finite(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def _loaded_after_cli_import(*packages):
+    """The modules of ``packages`` that ``import tirex.cli`` loads in a
+    fresh interpreter."""
+    code = ("import sys, tirex.cli; "
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_importing_the_cli_loads_no_scipy():
     # scipy is imported only where tci-ratio integrates numerically; loading
     # it at import time would add its start-up to every CLI call
-    code = ("import sys, tirex.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _loaded_after_cli_import("scipy") == "[]"
+
+
+def test_importing_the_cli_loads_no_worker_pools():
+    # the process pool (sweep --jobs) and the thread pool (verify-process)
+    # are imported where they run; loading multiprocessing at import time
+    # added about 20 ms to every CLI call
+    assert _loaded_after_cli_import("multiprocessing", "concurrent") == "[]"
 
 
 def test_console_script_entry_point():

@@ -1,12 +1,21 @@
+import json
+import sys
+import threading
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+from tirex import process_verify
 from tirex.errors import InvalidInputError
 from tirex.process_verify import (
+    CovCheckEntry,
     IndependentNormalModel,
     ProcessCheckConfig,
+    ProcessCheckReport,
     _process_values,
+    _replication_workers,
     covariance_check,
 )
 from tirex import rng as rngmod
@@ -123,3 +132,89 @@ def test_report_csv_shape():
     assert len(lines) == 1 + 3 * 4
     d = report.to_json_dict()
     assert d["passed"] == report.passed
+
+
+def _small_config(**kw):
+    base = dict(generator=IndependentNormalModel(p=2), n=300, k=30, n_reps=101,
+                u_grid=(0.5, 1.0), order=2, seed=9)
+    return ProcessCheckConfig(**{**base, **kw})
+
+
+def test_results_do_not_depend_on_the_worker_count(monkeypatch):
+    # 7 workers outnumber the cores; a short switch interval makes the
+    # threads interleave often, so a lost or misplaced row would show
+    outputs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3, 7):
+            monkeypatch.setattr(process_verify, "_replication_workers",
+                                lambda n_reps: min(n_reps, workers))
+            report = covariance_check(_small_config())
+            outputs.append((report.to_csv_text(), report.to_json_dict()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(out == outputs[0] for out in outputs[1:])
+
+
+def test_replication_workers_bounded_by_reps_and_cpus(monkeypatch):
+    for cpus, n_reps, want in ((64, 5, 5), (3, 1000, 3), (1, 100, 1)):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        assert _replication_workers(n_reps) == want
+    monkeypatch.delattr("os.sched_getaffinity", raising=False)
+    for cpu_count, want in ((None, 1), (6, 6), (500, 200)):
+        monkeypatch.setattr("os.cpu_count", lambda: cpu_count)
+        assert _replication_workers(200) == want
+
+
+@dataclass(frozen=True)
+class _FailingModel(IndependentNormalModel):
+    """Raises ``error`` on the draw of replication 5, read off its stream key."""
+
+    error: Exception = None
+
+    def sample(self, n, rng):
+        if rng.bit_generator.seed_seq.spawn_key == (4, 5):
+            raise self.error
+        return super().sample(n, rng)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_failing_replication_surfaces(monkeypatch, workers):
+    monkeypatch.setattr(process_verify, "_replication_workers",
+                        lambda n_reps: min(n_reps, workers))
+    error = InvalidInputError("replication 5 failed")
+    raised = []
+
+    def check():
+        try:
+            covariance_check(_small_config(generator=_FailingModel(p=2, error=error)))
+        except InvalidInputError as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=check, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert len(raised) == 1 and raised[0] is error
+
+
+def _cov_entry(deviation, se):
+    return CovCheckEntry(u_s=1.0, u_t=1.0, row=0, col=0, empirical=deviation,
+                         theoretical=0.0, deviation=deviation, se=se, ok=deviation == 0)
+
+
+def test_worst_deviation_in_se_units():
+    report = ProcessCheckReport({}, [], [_cov_entry(0.0, 0.0), _cov_entry(0.3, 0.2)])
+    assert report.max_cov_deviation_in_se() == pytest.approx(1.5)
+    # an entry with no spread that matches exactly is no deviation at all
+    exact = ProcessCheckReport({}, [], [_cov_entry(0.0, 0.0)])
+    assert exact.max_cov_deviation_in_se() == 0.0
+    assert exact.to_json_dict()["max_cov_deviation_se"] == 0.0
+    # one that misses has an unbounded one, written as JSON null
+    off = ProcessCheckReport({}, [], [_cov_entry(0.0, 0.0), _cov_entry(0.1, 0.0)])
+    assert off.max_cov_deviation_in_se() == np.inf
+    payload = off.to_json_dict()
+    assert payload["max_cov_deviation_se"] is None
+    json.dumps(payload, allow_nan=False)
