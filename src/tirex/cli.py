@@ -9,8 +9,9 @@ A JSON config file may supply any flag of the chosen subcommand by its
 destination name (e.g. {"method": "tirex1", "k_grid": "100:10000:30"});
 explicit flags override config values, and unknown config keys are errors.
 
-Exit codes: 0 success, 1 user error (bad flags, missing or malformed files),
-2 numerical failure (rank deficiency, non-convergence).
+Exit codes: 0 success, 1 user error (bad flags, missing or malformed files,
+sizes too large for memory), 2 numerical failure (rank deficiency,
+non-convergence).
 """
 
 import argparse
@@ -442,6 +443,9 @@ def run(argv):
         return 1
     except OSError as exc:
         print(f"tirex: i/o error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # sizes the flags allow but the machine cannot hold
+        print(f"tirex: error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -101,6 +101,10 @@ def load_csv(path, target="y"):
     Any other input, and every malformed file, goes through the cell-by-cell
     parser, which alone writes the error messages; both parse a cell to the
     same float.
+
+    The covariates are one C-ordered copy of the parsed table with the target
+    column deleted, which ``Dataset`` keeps as it is; the table itself is
+    dropped on return.
     """
     try:
         # utf-8-sig drops the byte-order mark that spreadsheet exports may write
@@ -124,7 +128,7 @@ def load_csv(path, target="y"):
     except UnicodeDecodeError:
         raise InvalidInputError(f"{path}: not UTF-8 text") from None
     return Dataset(
-        x=table[:, feat_cols],
+        x=np.delete(table, y_col, axis=1),
         y=table[:, y_col],
         names=[header[j] for j in feat_cols],
     )
@@ -243,19 +247,34 @@ def second_moment(x):
     return moment
 
 
+#: Most rows whitened by one matrix product in ``standardize``.
+WHITEN_BLOCK_ROWS = 8192
+
+
 def standardize(ds, eig_floor=None, ridge=0.0):
     """Empirically standardize covariates.
 
     mean = row average, covariance = (1/n) sum (x_i - mean)(x_i - mean)^T
     (divide by n, not n-1), z_i = covariance^{-1/2} (x_i - mean).  Raises
     RankDeficiencyError through inv_sqrt when the covariance is singular.
+
+    The centered copy of the covariates is whitened in place, one block of
+    rows at a time, so only ``ds.x``, that copy and one block are held.  The
+    ceil(n / WHITEN_BLOCK_ROWS) blocks are of equal size (within one row):
+    so split, z equals the one-shot ``xc @ whitener`` bit for bit with
+    OpenBLAS (tests/test_data.py checks it), while fixed-size blocks with a
+    short last block moved some entries in the last bit.
     """
     if ds.n < 2:
         raise InvalidInputError("standardization needs at least two rows")
-    mean, xc = center(ds.x)
-    cov = second_moment(xc)
+    mean, z = center(ds.x)
+    cov = second_moment(z)
     whitener = inv_sqrt(cov, eig_floor=eig_floor, ridge=ridge)
-    z = xc @ whitener
+    n = ds.n
+    blocks = -(-n // WHITEN_BLOCK_ROWS)
+    for i in range(blocks):
+        lo, hi = n * i // blocks, n * (i + 1) // blocks
+        z[lo:hi] = z[lo:hi] @ whitener
     return StandardizedDataset(z=z, mean=mean, covariance=cov, whitener=whitener)
 
 

@@ -248,7 +248,9 @@ def sample(spec, n, seed, stream=0):
     indices, the exponential and Pareto noise matrices (inverse-cdf from
     uniforms, so the stream is stable across library versions), then V and W.
     Replication r of an experiment passes stream=r, making replications
-    order-independent.
+    order-independent.  The uniform noise matrices are drawn in full, which
+    keeps the stream, but transformed only at the one entry per row that y
+    reads.
     """
     if n < 1:
         raise InvalidInputError("n must be >= 1")
@@ -257,14 +259,12 @@ def sample(spec, n, seed, stream=0):
     b = rng.random(n) < spec.theta
     idx1 = _categorical(rng, spec.pi1, n)
     idx2 = _categorical(rng, spec.pi2, n)
-    eps = -np.log1p(-rng.random((n, m))) / spec.alpha1
-    zeta = (1.0 - rng.random((n, spec.d))) ** (-1.0 / spec.alpha2)
+    rows = np.arange(n)
+    eps = -np.log1p(-rng.random((n, m))[rows, idx1]) / spec.alpha1
+    zeta = (1.0 - rng.random((n, spec.d))[rows, idx2]) ** (-1.0 / spec.alpha2)
     v = spec.covariate_law.sample(rng, (n, m))
     w = spec.covariate_law.sample(rng, (n, spec.d))
-    rows = np.arange(n)
-    y1 = v[rows, idx1] * eps[rows, idx1]
-    y2 = w[rows, idx2] * zeta[rows, idx2]
-    y = np.where(b, y1, y2)
+    y = np.where(b, v[rows, idx1] * eps, w[rows, idx2] * zeta)
     names = [f"v{i + 1}" for i in range(m)] + [f"w{j + 1}" for j in range(spec.d)]
     return Dataset(x=np.hstack([v, w]), y=y, names=names)
 

@@ -10,10 +10,12 @@ import csv
 
 import numpy as np
 
-from tirex.data import ceil_index
+from tirex import rng as rngmod
+from tirex.data import Dataset, ceil_index
 from tirex.errors import InvalidInputError
 from tirex.estimators import tail_increments
 from tirex.linalg import symmetrize
+from tirex.synthetic import _categorical
 
 
 def _order_indices(order, n):
@@ -133,3 +135,23 @@ def write_csv_oracle(ds, path):
         writer.writerow(list(names) + ["y"])
         for i in range(ds.n):
             writer.writerow([repr(float(v)) for v in ds.x[i]] + [repr(float(ds.y[i]))])
+
+
+def sample_oracle(spec, n, seed, stream=0):
+    """``tirex.synthetic.sample`` with the exponential and Pareto transforms
+    applied to the whole noise matrices before one entry per row is read."""
+    rng = rngmod.stream(seed, 0, stream)
+    m = spec.p - spec.d
+    b = rng.random(n) < spec.theta
+    idx1 = _categorical(rng, spec.pi1, n)
+    idx2 = _categorical(rng, spec.pi2, n)
+    eps = -np.log1p(-rng.random((n, m))) / spec.alpha1
+    zeta = (1.0 - rng.random((n, spec.d))) ** (-1.0 / spec.alpha2)
+    v = spec.covariate_law.sample(rng, (n, m))
+    w = spec.covariate_law.sample(rng, (n, spec.d))
+    rows = np.arange(n)
+    y1 = v[rows, idx1] * eps[rows, idx1]
+    y2 = w[rows, idx2] * zeta[rows, idx2]
+    y = np.where(b, y1, y2)
+    names = [f"v{i + 1}" for i in range(m)] + [f"w{j + 1}" for j in range(spec.d)]
+    return Dataset(x=np.hstack([v, w]), y=y, names=names)

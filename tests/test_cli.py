@@ -614,6 +614,28 @@ def test_csv_cell_over_the_field_limit_is_a_user_error(tmp_path, capsys, where):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("callee, argv", [
+    ("covariance_check", ["verify-process", "--n", "5000", "--k", "500",
+                          "--reps", "100000000000", "--seed", "1", "--out", "v.csv"]),
+    ("sample", ["simulate", "--model", "A", "--n", "100000000000000", "--seed", "1",
+                "--out", "s.csv"]),
+    ("geometric_k_grid", ["sweep", "--model", "A", "--n", "1000", "--method", "tirex1",
+                          "--d", "1", "--k-grid", "1:1000:100000000000", "--reps", "2",
+                          "--seed", "1", "--out", "s.csv"]),
+])
+def test_out_of_memory_is_a_user_error(tmp_path, monkeypatch, capsys, callee, argv):
+    # the callee that would allocate the flags' size raises instead of allocating
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 32.7 TiB for an array")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(f"tirex.cli.{callee}", fail)
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        "tirex: error: out of memory: Unable to allocate 32.7 TiB for an array\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 SIM = ["simulate", "--n", "5", "--seed", "1", "--out", "o.csv"]
 
 

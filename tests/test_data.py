@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from tirex.data import (
     write_csv,
 )
 from tirex.errors import InvalidInputError, RankDeficiencyError
+from tirex.estimators import PreparedFit
 from tirex.synthetic import model_preset, sample
 
 from oracles import write_csv_oracle
@@ -214,6 +216,34 @@ def test_standardize_hand_computed_2d():
     assert np.allclose(std.covariance, cov, atol=1e-14)
     assert np.abs(std.z.T @ std.z / 4.0 - np.eye(2)).max() < 1e-10
     assert np.abs(std.z.mean(axis=0)).max() < 1e-8
+
+
+@pytest.mark.parametrize("n", [64, 100, 8191, 8192, 8193, 16385, 40000])
+@pytest.mark.parametrize("p", [1, 2, 5, 30])
+def test_standardize_blocks_equal_the_one_shot_product(n, p):
+    # whitening in row blocks must give the one matrix product's bits
+    rng = np.random.default_rng(n * 64 + p)
+    ds = Dataset(x=rng.standard_normal((n, p)) * 50.0 + rng.random(p), y=rng.random(n))
+    std = standardize(ds)
+    assert np.array_equal(std.z, (ds.x - std.mean) @ std.whitener)
+
+
+def test_prepared_data_path_holds_two_copies_of_the_covariates(tmp_path):
+    # load_csv then PreparedFit, as `fit` runs them: the table and the
+    # covariates while loading, then the covariates, their whitened copy and
+    # one block of rows; a third n x p copy would put the peak above 3
+    spec, _ = model_preset("B")
+    ds = sample(spec, 20000, 1)
+    path = tmp_path / "b.csv"
+    write_csv(ds, path)
+    tracemalloc.start()
+    try:
+        loaded = load_csv(path)
+        PreparedFit(loaded, "tirex2", 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.6 * ds.x.nbytes
 
 
 def test_standardize_needs_two_rows():

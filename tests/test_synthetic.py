@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tirex.errors import InvalidInputError
 from tirex.synthetic import (
@@ -18,6 +20,8 @@ from tirex.synthetic import (
     tci_ratios,
     true_projector,
 )
+
+from oracles import sample_oracle
 
 # Frozen output of sample(model A, n=5, seed=20240, stream=0); regenerating
 # with the same key must reproduce these values.
@@ -275,3 +279,36 @@ def test_empirical_survival_matches_mixture_marginal():
     emp = float((ds.y > y0).mean())
     se = math.sqrt(s * (1 - s) / n)
     assert abs(emp - s) <= 3 * se
+
+
+def _weights(draw, size):
+    raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
+    raw[draw(st.integers(0, size - 1))] += 0.5  # one positive weight at least
+    return raw / raw.sum()
+
+
+@st.composite
+def _mixture_case(draw):
+    p = draw(st.integers(2, 8))
+    d = draw(st.integers(1, p - 1))
+    if draw(st.booleans()):
+        a = draw(st.floats(0.0, 5.0))
+        law = UniformLaw(a, a + draw(st.floats(0.5, 10.0)))
+    else:
+        law = BernoulliLaw(draw(st.floats(0.0, 1.0)))
+    spec = MixtureSpec(p=p, d=d, theta=draw(st.sampled_from([0.0, 0.5, 1.0])),
+                       alpha1=draw(st.sampled_from([0.5, 2.0, 10.0])),
+                       alpha2=draw(st.sampled_from([1.0, 3.0, 10.0])),
+                       covariate_law=law, pi1=_weights(draw, p - d), pi2=_weights(draw, d))
+    return spec, draw(st.integers(1, 300)), draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 3))
+
+
+@given(_mixture_case())
+@settings(max_examples=150, deadline=None)
+def test_sample_equals_the_full_matrix_oracle(case):
+    # sample transforms only the noise entries y reads; the values must not move
+    spec, n, seed, stream = case
+    got, want = sample(spec, n, seed, stream), sample_oracle(spec, n, seed, stream)
+    assert np.array_equal(got.x, want.x)
+    assert np.array_equal(got.y, want.y)
+    assert got.names == want.names
