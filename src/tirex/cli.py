@@ -111,6 +111,19 @@ def _config_defaults(path, parser):
     return defaults
 
 
+#: Largest --n, --reps, --n-mc or k-grid count.  One float per unit is
+#: already 2 PiB at this size, so a larger one can only fail; far enough
+#: above it numpy refuses an array with ValueError, not MemoryError.
+MAX_SIZE = 2**48
+
+_SIZE_FLAGS = ("n", "reps", "n_mc")
+
+
+def _check_size(value, flag):
+    if value > MAX_SIZE:
+        raise InvalidInputError(f"{flag} must be at most {MAX_SIZE}, got {value}")
+
+
 def _require(args, *names):
     for name in names:
         if getattr(args, name, None) is None:
@@ -133,6 +146,7 @@ def _parse_k_grid(text):
             lo, hi, count = (int(p) for p in text.split(":"))
         except ValueError:
             raise InvalidInputError(f"bad k-grid {text!r}; expected lo:hi:count") from None
+        _check_size(count, "the k-grid count")
         return geometric_k_grid(lo, hi, count)
     return _parse_list(text, int, "--k-grid")
 
@@ -434,6 +448,9 @@ def run(argv):
             subparser = subparsers[args.command]
             subparser.set_defaults(**_config_defaults(args.config, subparser))
             args = parser.parse_args(argv)
+        for name in _SIZE_FLAGS:
+            if getattr(args, name, None) is not None:
+                _check_size(getattr(args, name), "--" + name.replace("_", "-"))
         return args.handler(args)
     except NumericalError as exc:
         print(f"tirex: numerical failure: {exc}", file=sys.stderr)

@@ -3,6 +3,12 @@
 A dataset is an n x p covariate matrix plus a length-n target vector.  All
 downstream estimators consume the target only through its descending rank
 order, so any strictly increasing transform of y leaves results bit-identical.
+
+Work over all n rows runs in row blocks (``row_blocks``): ceil(n /
+WHITEN_BLOCK_ROWS) blocks of equal size within one row.  The covariance
+sums one block Gram per block, whitening multiplies one block at a time,
+and ``load_csv`` compacts the covariates into the parsed table's buffer one
+block at a time, so no step holds a second n x p array.
 """
 
 import csv
@@ -64,13 +70,47 @@ class Dataset:
 
 @dataclass(frozen=True)
 class StandardizedDataset:
-    """Whitened covariates z_i = W (x_i - mean) with W the inverse square root
-    of the divide-by-n empirical covariance."""
+    """The standardization of covariates ``x``: their mean, the divide-by-n
+    covariance and its inverse square root W, the whitener.
 
-    z: np.ndarray
+    Only ``x`` itself is held, not its whitened copy: ``whiten(rows)`` gives
+    z_i = W (x_i - mean) for the rows an estimator reads, and ``z`` all n of
+    them, built on each access.
+    """
+
+    x: np.ndarray
     mean: np.ndarray
     covariance: np.ndarray
     whitener: np.ndarray
+
+    def whiten(self, rows=None):
+        """Whitened covariates of ``rows`` (an index array, in its order), or
+        of every row when None, as a new (len(rows), p) array.
+
+        The rows are gathered, centered and multiplied by the whitener one
+        block at a time; a row's bits do not depend on which rows share its
+        block, so ``whiten(rows)`` equals ``z[rows]``.  A single row is
+        whitened twice over: numpy sends a one-row product to a
+        matrix-vector kernel, whose sums round differently.
+        """
+        if rows is None:
+            rows = np.arange(self.x.shape[0])
+        rows = np.asarray(rows)
+        m = rows.shape[0]
+        if m == 1:
+            return self.whiten(np.repeat(rows, 2))[:1]
+        z = np.empty((m, self.x.shape[1]))
+        for lo, hi in row_blocks(m):
+            block = self.x[rows[lo:hi]]
+            block -= self.mean
+            np.matmul(block, self.whitener, out=z[lo:hi])
+            del block  # else it lives on beside the next block
+        return z
+
+    @property
+    def z(self):
+        """Every row whitened, in row order: a new n x p array per access."""
+        return self.whiten()
 
 
 def descending_order(y):
@@ -102,9 +142,9 @@ def load_csv(path, target="y"):
     parser, which alone writes the error messages; both parse a cell to the
     same float.
 
-    The covariates are one C-ordered copy of the parsed table with the target
-    column deleted, which ``Dataset`` keeps as it is; the table itself is
-    dropped on return.
+    The target column is copied out; then the covariates are compacted to
+    the front of the parsed table's own buffer (``_drop_column``), so the
+    dataset's ``x`` is a C-ordered view of that buffer, not a second copy.
     """
     try:
         # utf-8-sig drops the byte-order mark that spreadsheet exports may write
@@ -127,11 +167,24 @@ def load_csv(path, target="y"):
                 table = _read_body(path, reader, len(header))
     except UnicodeDecodeError:
         raise InvalidInputError(f"{path}: not UTF-8 text") from None
-    return Dataset(
-        x=np.delete(table, y_col, axis=1),
-        y=table[:, y_col],
-        names=[header[j] for j in feat_cols],
-    )
+    y = table[:, y_col].copy()
+    return Dataset(x=_drop_column(table, y_col), y=y, names=[header[j] for j in feat_cols])
+
+
+def _drop_column(table, col):
+    """``np.delete(table, col, axis=1)`` written over the C-ordered
+    ``table``'s own buffer, and returned as a view of it; the table is
+    spoiled.
+
+    Block by block, the rows without the column go to the buffer's front.
+    A block's rows land before the rows of the blocks after it, which are
+    still intact, so each block needs only its own scratch copy.
+    """
+    n, w = table.shape
+    flat = table.reshape(-1)  # a view: both parsers return C order
+    for lo, hi in row_blocks(n):
+        flat[lo * (w - 1):hi * (w - 1)] = np.delete(table[lo:hi], col, axis=1).reshape(-1)
+    return flat[:n * (w - 1)].reshape(n, w - 1)
 
 
 def _records(path, reader):
@@ -224,31 +277,52 @@ def csv_text(rows):
 
 _TOO_LARGE = "covariates too large: their second moment overflows"
 
+#: Most rows in one block of the covariance, of whitening and of the CSV
+#: compaction (see ``row_blocks``).
+WHITEN_BLOCK_ROWS = 8192
 
-def center(x):
-    """Column means of x and x minus them; InvalidInputError when a mean
-    overflows, as a column summing past about 1.8e308 makes it do.  An
-    overflowing difference is left to ``second_moment`` to refuse."""
+
+def row_blocks(n):
+    """(lo, hi) bounds of ceil(n / WHITEN_BLOCK_ROWS) row blocks of equal
+    size within one row, cut at ``n * i // blocks``.
+
+    Cut so, the blocked whitening equals the one-shot product bit for bit
+    with OpenBLAS, which fixed-size blocks with a short last block did not
+    (tests/test_data.py checks it).
+    """
+    blocks = -(-n // WHITEN_BLOCK_ROWS)
+    return [(n * i // blocks, n * (i + 1) // blocks) for i in range(blocks)]
+
+
+def moments(x, centered=True):
+    """Column means of x (zeros when not ``centered``) and the symmetrized
+    divide-by-n second moment about them, summed one ``row_blocks`` Gram at
+    a time, so only one centered block is held.
+
+    Up to WHITEN_BLOCK_ROWS rows it is the one-shot ``symmetrize(xc.T @ xc
+    / n)`` bit for bit; above, it differs in the last bits, as partial sums
+    do.  InvalidInputError when a mean or the moment overflows, as columns
+    summing past about 1.8e308 or entries beyond about 1e154 in magnitude
+    make them do.
+    """
+    n, p = x.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = x.mean(axis=0)
-        xc = x - mean
-    if not np.isfinite(mean).all():
-        raise InvalidInputError(_TOO_LARGE)
-    return mean, xc
-
-
-def second_moment(x):
-    """Symmetrized x^T x / n; InvalidInputError when it overflows, as rows
-    with entries beyond about 1e154 in magnitude make it do."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        moment = symmetrize(x.T @ x / x.shape[0])
+        mean = x.mean(axis=0) if centered else np.zeros(p)
+        if not np.isfinite(mean).all():
+            raise InvalidInputError(_TOO_LARGE)
+        moment = None
+        for lo, hi in row_blocks(n):
+            block = x[lo:hi] - mean if centered else x[lo:hi]
+            gram = block.T @ block
+            del block  # else it lives on beside the next block
+            if moment is None:
+                moment = gram
+            else:
+                moment += gram
+        moment = symmetrize(moment / n)
     if not np.isfinite(moment).all():
         raise InvalidInputError(_TOO_LARGE)
-    return moment
-
-
-#: Most rows whitened by one matrix product in ``standardize``.
-WHITEN_BLOCK_ROWS = 8192
+    return mean, moment
 
 
 def standardize(ds, eig_floor=None, ridge=0.0):
@@ -258,24 +332,16 @@ def standardize(ds, eig_floor=None, ridge=0.0):
     (divide by n, not n-1), z_i = covariance^{-1/2} (x_i - mean).  Raises
     RankDeficiencyError through inv_sqrt when the covariance is singular.
 
-    The centered copy of the covariates is whitened in place, one block of
-    rows at a time, so only ``ds.x``, that copy and one block are held.  The
-    ceil(n / WHITEN_BLOCK_ROWS) blocks are of equal size (within one row):
-    so split, z equals the one-shot ``xc @ whitener`` bit for bit with
-    OpenBLAS (tests/test_data.py checks it), while fixed-size blocks with a
-    short last block moved some entries in the last bit.
+    The covariance is summed over row blocks (``moments``) and nothing is
+    whitened here: the result holds ``ds.x``, the mean, the covariance and
+    the whitener, and whitens rows on request.  So standardizing holds no
+    n x p array beside ``ds.x``, only one block of rows.
     """
     if ds.n < 2:
         raise InvalidInputError("standardization needs at least two rows")
-    mean, z = center(ds.x)
-    cov = second_moment(z)
+    mean, cov = moments(ds.x)
     whitener = inv_sqrt(cov, eig_floor=eig_floor, ridge=ridge)
-    n = ds.n
-    blocks = -(-n // WHITEN_BLOCK_ROWS)
-    for i in range(blocks):
-        lo, hi = n * i // blocks, n * (i + 1) // blocks
-        z[lo:hi] = z[lo:hi] @ whitener
-    return StandardizedDataset(z=z, mean=mean, covariance=cov, whitener=whitener)
+    return StandardizedDataset(x=ds.x, mean=mean, covariance=cov, whitener=whitener)
 
 
 def ceil_index(x):

@@ -22,6 +22,11 @@ k once, not once per k.  Choosing k = n recovers the classical cumulative
 slicing matrices (CUME / CUVE); both identities are enforced here and
 cross-checked against brute-force double sums in the tests.
 
+The matrices read only the k rows of the largest targets, so ``PreparedFit``
+whitens only those: beside the covariates, a fit holds the O(k p) whitened
+rows and one row block, and spends O(n p^2) only on the covariance, which
+``data.moments`` sums over row blocks.
+
 ``tail_increments`` holds the processes' summands, the kernel that
 ``process_verify`` checks against the Gaussian limit.  The M2 recurrence
 does not call it; a property test ties the two together instead, comparing
@@ -34,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import center, descending_order, second_moment, standardize
+from .data import descending_order, moments, standardize
 from .errors import InvalidInputError, NumericalError
 from .linalg import (
     EigenDecomposition,
@@ -254,12 +259,14 @@ def _sdr_fit(method, k, d, candidate, mean, whitener):
 class PreparedFit:
     """One method on one dataset, prepared once and fitted at any k.
 
-    The covariates are whitened and the target is sorted here, once, so each
-    ``fit(k)`` costs only the O(k p^2) (first-order) or O(k p (p + b))
-    (second-order, block size b) candidate matrix and a p x p eigensolve,
-    and ``fit_grid``
-    builds the candidate matrices of a whole k grid in one pass.  The PCA
-    variants have no k and are fitted here outright.  Raises
+    The covariance and its whitener are computed and the target is sorted
+    here, once; the dataset's covariates are held, not a whitened copy of
+    them.  Each ``fit(k)`` whitens only the k rows of the largest targets,
+    O(k p^2), and builds from them the O(k p^2) (first-order) or
+    O(k p (p + b)) (second-order, block size b) candidate matrix and a
+    p x p eigensolve; ``fit_grid`` whitens the rows of its largest k once
+    and builds the candidate matrices of the whole grid in one pass.  The
+    PCA variants have no k and are fitted here outright.  Raises
     InvalidInputError for an unknown method or a bad d, and NumericalError
     when the covariance cannot be whitened.
     """
@@ -273,8 +280,8 @@ class PreparedFit:
         self._first_order = method in _FIRST_ORDER_METHODS
         if method in _PCA_METHODS:
             # the covariance (pca) or raw second moment (svd_pca), divide by n
-            mean, xc = center(ds.x) if method == "pca" else (np.zeros(ds.p), ds.x)
-            self._pca = _sdr_fit(method, None, d, second_moment(xc), mean, None)
+            mean, moment = moments(ds.x, centered=method == "pca")
+            self._pca = _sdr_fit(method, None, d, moment, mean, None)
         else:
             self._std = standardize(ds, eig_floor=eig_floor, ridge=ridge)
             self._order = descending_order(ds.y)
@@ -286,7 +293,7 @@ class PreparedFit:
         if k is None:  # a PCA variant
             return self._pca
         matrix = tirex1_matrix if self._first_order else tirex2_matrix
-        return self._fit_candidate(k, matrix(self._std.z, self._order, k))
+        return self._fit_candidate(k, matrix(self._top_rows(k), np.arange(k), k))
 
     def fit_grid(self, k_grid):
         """The fits at every k of ``k_grid`` (any order, repeats allowed), one
@@ -297,8 +304,10 @@ class PreparedFit:
         if self.method in _PCA_METHODS:
             return [self._pca] * len(ks)
         distinct = sorted(set(ks))
+        k_max = max(distinct, default=0)
         candidates = _prefix_grams(
-            self._std.z, self._order, distinct, second_order=not self._first_order
+            self._top_rows(k_max), np.arange(k_max), distinct,
+            second_order=not self._first_order,
         )
         fits = {}
         for k, candidate in zip(distinct, candidates):
@@ -307,6 +316,11 @@ class PreparedFit:
             except NumericalError as exc:
                 fits[k] = exc
         return [fits[k] for k in ks]
+
+    def _top_rows(self, k):
+        """The whitened covariates of the k largest targets, in descending
+        target order: the only rows a candidate matrix at k reads."""
+        return self._std.whiten(self._order[:k])
 
     def _fit_candidate(self, k, candidate):
         return _sdr_fit(self.method, k, self.d, candidate, self._std.mean,

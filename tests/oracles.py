@@ -155,3 +155,12 @@ def sample_oracle(spec, n, seed, stream=0):
     y = np.where(b, y1, y2)
     names = [f"v{i + 1}" for i in range(m)] + [f"w{j + 1}" for j in range(spec.d)]
     return Dataset(x=np.hstack([v, w]), y=y, names=names)
+
+
+def one_shot_moments(x, centered=True):
+    """``data.moments`` as one product over all rows, as it was computed
+    before the row blocks: the column means (or zeros) and the symmetrized
+    divide-by-n second moment about them."""
+    mean = x.mean(axis=0) if centered else np.zeros(x.shape[1])
+    xc = x - mean
+    return mean, symmetrize(xc.T @ xc / x.shape[0])

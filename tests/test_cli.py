@@ -636,6 +636,33 @@ def test_out_of_memory_is_a_user_error(tmp_path, monkeypatch, capsys, callee, ar
     assert list(tmp_path.iterdir()) == []
 
 
+HUGE = "10000000000000000000"  # past numpy's largest dimension
+
+
+@pytest.mark.parametrize("argv, config, flag", [
+    (["simulate", "--model", "A", "--n", HUGE, "--seed", "1"], None, "--n"),
+    (["simulate", "--model", "A", "--seed", "1"], {"n": int(HUGE)}, "--n"),
+    (["simulate", "--model", "A", "--n", str(2**48 + 1), "--seed", "1"], None, "--n"),
+    (VERIFY[:5] + ["--reps", "1000000000000000000", "--seed", "3"], None, "--reps"),
+    (VERIFY[:1] + ["--n", HUGE] + VERIFY[3:], None, "--n"),
+    (SWEEP_A[:-4] + ["--reps", HUGE, "--seed", "1", "--k-grid", "40"], None, "--reps"),
+    (SWEEP_A[:3] + ["--n", HUGE] + SWEEP_A[5:] + ["--k-grid", "40"], None, "--n"),
+    (SWEEP_A + ["--k-grid", "1:400:" + HUGE], None, "the k-grid count"),
+    (CLASSIFY_A[:3] + ["--n", HUGE] + CLASSIFY_A[5:], None, "--n"),
+    (ER + ["--n-mc", HUGE], None, "--n-mc"),
+])
+def test_oversized_sizes_are_user_errors(tmp_path, monkeypatch, capsys, argv, config, flag):
+    # these used to escape as ValueError tracebacks ("Maximum allowed dimension
+    # exceeded", "array is too big") rather than MemoryError
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", "cfg.json"]
+    assert run(argv + ["--out", "o.csv"]) == 1
+    assert capsys.readouterr().err.startswith(f"tirex: error: {flag} must be at most {2**48}, got ")
+    assert list(tmp_path.iterdir()) == ([] if config is None else [tmp_path / "cfg.json"])
+
+
 SIM = ["simulate", "--n", "5", "--seed", "1", "--out", "o.csv"]
 
 

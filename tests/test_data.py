@@ -23,7 +23,7 @@ from tirex.errors import InvalidInputError, RankDeficiencyError
 from tirex.estimators import PreparedFit
 from tirex.synthetic import model_preset, sample
 
-from oracles import write_csv_oracle
+from oracles import one_shot_moments, write_csv_oracle
 
 
 def test_load_csv_basic(tmp_path):
@@ -143,6 +143,69 @@ def test_load_csv_reads_a_pipe_once(tmp_path):
     assert float(proc.stdout) == load_csv(path).y.sum()
 
 
+def _table_csv(path, table, col):
+    """Write ``table`` as CSV text with the target ``y`` in column ``col``."""
+    header = [f"x{j}" for j in range(table.shape[1])]
+    header[col] = "y"
+    path.write_text(",".join(header) + "\n"
+                    + "".join(",".join(map(repr, row)) + "\n" for row in table.tolist()))
+
+
+_SMALL_TABLES = [
+    (50, 4, 0), (50, 4, 2), (50, 4, 3),  # the target first, in the middle, last
+    (50, 2, 0), (50, 2, 1),  # p = 1
+    (1, 5, 0), (1, 5, 2), (1, 2, 1),  # n = 1
+]
+
+
+@pytest.mark.parametrize("n, width, col, block_rows", [
+    shape + (rows,) for shape in _SMALL_TABLES for rows in (1, 3, 7, data.WHITEN_BLOCK_ROWS)
+] + [(9001, 31, 30, data.WHITEN_BLOCK_ROWS)])  # a model-B shape over two blocks
+@pytest.mark.parametrize("fast", [True, False])
+def test_load_csv_compacts_the_covariates_into_the_table(tmp_path, monkeypatch, n, width, col,
+                                                        block_rows, fast):
+    # x must be np.delete of the parsed table bit for bit, C-ordered, and a
+    # view of the table's own buffer rather than a second copy
+    monkeypatch.setattr(data, "WHITEN_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(n * 100 + width * 10 + col)
+    table = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-8, 8, (n, width))
+    path = tmp_path / "d.csv"
+    _table_csv(path, table, col)
+    parsed = []
+    name = "_read_body_fast" if fast else "_read_body"
+    real = getattr(data, name)
+
+    def spy(*args):
+        parsed.append(real(*args))
+        return parsed[-1]
+
+    if not fast:
+        _cell_by_cell(monkeypatch)
+    monkeypatch.setattr(data, name, spy)
+    ds = load_csv(path)
+    want = np.delete(table, col, axis=1)
+    assert ds.x.shape == want.shape and ds.x.tobytes() == want.tobytes()
+    assert ds.y.tobytes() == table[:, col].tobytes()
+    assert ds.x.flags.c_contiguous
+    assert np.shares_memory(ds.x, parsed[0])
+    assert not np.shares_memory(ds.y, parsed[0])
+
+
+def test_load_csv_compacts_a_pipe_input(tmp_path):
+    # a pipe goes through the cell-by-cell parser
+    rng = np.random.default_rng(8)
+    table = rng.standard_normal((20000, 4)) * 10.0 ** rng.integers(-8, 8, (20000, 4))
+    path, out = tmp_path / "d.csv", tmp_path / "x.npy"
+    _table_csv(path, table, 1)
+    code = ("import sys, numpy as np; from tirex.data import load_csv; "
+            "ds = load_csv('/dev/stdin'); assert ds.x.flags.c_contiguous; "
+            "assert ds.x.base is not None; np.save(sys.argv[1], ds.x)")
+    proc = subprocess.run([sys.executable, "-c", code, str(out)], input=path.read_bytes(),
+                          capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert np.load(out).tobytes() == np.delete(table, 1, axis=1).tobytes()
+
+
 def test_write_csv_body_matches_the_row_writer(tmp_path):
     rng = np.random.default_rng(3)
     ds = Dataset(x=rng.standard_normal((7, 3)) * 10.0 ** rng.integers(-300, 300, (7, 3)),
@@ -244,6 +307,124 @@ def test_prepared_data_path_holds_two_copies_of_the_covariates(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2.6 * ds.x.nbytes
+
+
+def test_prepared_fit_holds_one_copy_of_the_covariates(tmp_path):
+    # load_csv leaves the covariates in the parsed table's buffer, and
+    # PreparedFit whitens only the rows of the largest k: the covariates, the
+    # k_max whitened rows and one block of them; a whitened copy of all n
+    # rows would put the peak above 2
+    spec, _ = model_preset("B")
+    ds = sample(spec, 20000, 1)
+    path = tmp_path / "b.csv"
+    write_csv(ds, path)
+    tracemalloc.start()
+    try:
+        loaded = load_csv(path)
+        PreparedFit(loaded, "tirex2", 5).fit_grid([500, 4000])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * ds.x.nbytes
+
+
+@pytest.mark.parametrize("method, n", [("tirex2", 20000), ("tirex1", 3000), ("cuve", 9000)])
+def test_prepared_fit_whitens_the_top_rows_of_the_full_whitening(monkeypatch, method, n):
+    # the rows the candidate matrices read are the full whitening's rows of
+    # the k largest targets, bit for bit, and fit(k) is fit_grid([k])[0]
+    import tirex.estimators as estimators
+
+    spec, _ = model_preset("B")
+    ds = sample(spec, n, 2)
+    seen = []
+    real = estimators._prefix_grams
+
+    def spy(z, order, ks, second_order):
+        seen.append(z)
+        return real(z, order, ks, second_order)
+
+    monkeypatch.setattr(estimators, "_prefix_grams", spy)
+    z, order = standardize(ds).z, descending_order(ds.y)
+    prepared = PreparedFit(ds, method, 3)
+    ks = [n] if method == "cuve" else [1, 2, 500, n // 2 + 1, n]
+    for k in ks:
+        single, grid = prepared.fit(k), prepared.fit_grid([k])[0]
+        for rows in seen[-2:]:
+            assert rows.tobytes() == z[order[:k]].tobytes()
+        for name in ("candidate_matrix", "basis_whitened", "basis_raw"):
+            assert getattr(single, name).tobytes() == getattr(grid, name).tobytes()
+        assert single.eigen.eigenvalues.tobytes() == grid.eigen.eigenvalues.tobytes()
+    prepared.fit_grid(ks)
+    assert seen[-1].tobytes() == z[order[:max(ks)]].tobytes()
+    assert prepared.fit_grid([]) == []
+
+
+@pytest.mark.parametrize("rows", [[0], [7], [3, 3], [], [9, 0, 4, 4, 1], list(range(40))])
+def test_whiten_rows_equals_the_full_whitening(rows):
+    ds = Dataset(x=_moment_sample(40, 3), y=np.arange(40.0))
+    std = standardize(ds)
+    got = std.whiten(np.array(rows, dtype=np.intp))
+    assert got.shape == (len(rows), 3)
+    assert got.tobytes() == std.z[rows].tobytes()
+
+
+def _moment_sample(n, p):
+    rng = np.random.default_rng(n * 64 + p)
+    return rng.standard_normal((n, p)) * 50.0 + rng.random(p) * 10.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 8191, 8192])
+@pytest.mark.parametrize("p", [1, 5, 30])
+@pytest.mark.parametrize("centered", [True, False])
+def test_moments_in_one_block_are_the_one_shot_form(n, p, centered):
+    x = _moment_sample(n, p)
+    mean, moment = data.moments(x, centered=centered)
+    want_mean, want = one_shot_moments(x, centered=centered)
+    assert mean.tobytes() == want_mean.tobytes()
+    assert moment.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [8193, 16385, 40000])
+@pytest.mark.parametrize("p", [1, 5, 30])
+@pytest.mark.parametrize("centered", [True, False])
+def test_blocked_moments_stay_close_to_the_one_shot_form(n, p, centered):
+    x = _moment_sample(n, p)
+    mean, moment = data.moments(x, centered=centered)
+    want_mean, want = one_shot_moments(x, centered=centered)
+    assert mean.tobytes() == want_mean.tobytes()
+    np.testing.assert_allclose(moment, want, rtol=1e-12, atol=0)
+
+
+def _moment_error(moment, reference):
+    """Largest error relative to sqrt(m_ii m_jj), the scale of entry ij."""
+    scale = np.sqrt(np.outer(np.diag(reference), np.diag(reference)))
+    return float(np.max(np.abs(moment - reference) / scale))
+
+
+def _extended_covariance(x):
+    xl = x.astype(np.longdouble)
+    xc = xl - xl.sum(axis=0) / x.shape[0]
+    return xc.T @ xc / x.shape[0]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is double here")
+def test_blocked_covariance_is_as_accurate_as_the_one_shot_form():
+    spec, _ = model_preset("B")
+    x = sample(spec, 40000, 1).x
+    reference = _extended_covariance(x)
+    blocked = _moment_error(data.moments(x)[1], reference)
+    one_shot = _moment_error(one_shot_moments(x)[1], reference)
+    assert blocked <= one_shot < 1e-15
+
+    # a column far from zero: both forms share the mean's rounding error,
+    # about 2.7e-13 of the variance here, and differ by a few ulps of it
+    rng = np.random.default_rng(5)
+    x = np.column_stack([1e8 + rng.standard_normal(40000), rng.standard_normal(40000)])
+    reference = _extended_covariance(x)
+    blocked = _moment_error(data.moments(x)[1], reference)
+    one_shot = _moment_error(one_shot_moments(x)[1], reference)
+    assert blocked <= one_shot + 4 * np.finfo(float).eps
 
 
 def test_standardize_needs_two_rows():
