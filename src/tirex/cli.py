@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .data import csv_text, load_csv, write_csv
-from .errors import InvalidInputError, NumericalError, TirexError
+from .errors import InvalidInputError, NumericalError, TirexError, check_size
 from .estimators import METHODS, fit
 from .evaluation import (
     DEFAULT_NEIGHBORS,
@@ -111,17 +111,8 @@ def _config_defaults(path, parser):
     return defaults
 
 
-#: Largest --n, --reps, --n-mc or k-grid count.  One float per unit is
-#: already 2 PiB at this size, so a larger one can only fail; far enough
-#: above it numpy refuses an array with ValueError, not MemoryError.
-MAX_SIZE = 2**48
-
+# the flags bounded by errors.MAX_SIZE
 _SIZE_FLAGS = ("n", "reps", "n_mc")
-
-
-def _check_size(value, flag):
-    if value > MAX_SIZE:
-        raise InvalidInputError(f"{flag} must be at most {MAX_SIZE}, got {value}")
 
 
 def _require(args, *names):
@@ -146,7 +137,7 @@ def _parse_k_grid(text):
             lo, hi, count = (int(p) for p in text.split(":"))
         except ValueError:
             raise InvalidInputError(f"bad k-grid {text!r}; expected lo:hi:count") from None
-        _check_size(count, "the k-grid count")
+        check_size(count, "the k-grid count")
         return geometric_k_grid(lo, hi, count)
     return _parse_list(text, int, "--k-grid")
 
@@ -251,9 +242,11 @@ def _cmd_classify(args):
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise InvalidInputError("--methods names no method")
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in METHODS:
             raise InvalidInputError(f"unknown method {m!r} in --methods")
+        if m in methods[:i]:
+            raise InvalidInputError(f"method {m!r} named twice in --methods")
     report = classify_experiment(
         ds, methods, d=args.d, quantile_level=args.quantile_level, folds=args.folds,
         seed=args.seed,
@@ -318,11 +311,14 @@ def _add_common(sub):
     sub.add_argument("--config", help="JSON config file; flags override its values")
 
 
-def _add_model_args(sub, with_n=True):
+def _add_model_args(sub):
     sub.add_argument("--model", help="built-in model preset: A, B or C")
     sub.add_argument("--spec", help="JSON mixture-spec file (alternative to --model)")
-    if with_n:
-        sub.add_argument("--n", type=int, help="sample size (defaults to the preset's)")
+
+
+def _add_sample_args(sub):
+    _add_model_args(sub)
+    sub.add_argument("--n", type=int, help="sample size (defaults to the preset's)")
 
 
 def build_parser():
@@ -336,7 +332,7 @@ def build_parser():
 
     s = subs.add_parser("simulate", help="draw a synthetic dataset to CSV (+ JSON sidecar)")
     _add_common(s)
-    _add_model_args(s)
+    _add_sample_args(s)
     s.add_argument("--seed", type=int)
     s.add_argument("--stream", type=int, default=0,
                    help="replication stream index (default %(default)s)")
@@ -363,7 +359,7 @@ def build_parser():
         help="bias^2/variance/MSE of the projector over a k grid",
     )
     _add_common(s)
-    _add_model_args(s)
+    _add_sample_args(s)
     s.add_argument("--method", choices=METHODS)
     s.add_argument("--d", type=int)
     s.add_argument("--k-grid", help="lo:hi:count (geometric), comma list, or single k")
@@ -377,7 +373,7 @@ def build_parser():
 
     s = subs.add_parser("classify", help="tail-event classification benchmark")
     _add_common(s)
-    _add_model_args(s)
+    _add_sample_args(s)
     s.add_argument("--in", dest="infile", help="input CSV (alternative to --model/--spec)")
     s.add_argument("--target", default="y", help="target column name (default %(default)s)")
     s.add_argument("--methods", default=",".join(METHODS),
@@ -414,10 +410,11 @@ def build_parser():
     s.add_argument("--json-out", help="optional JSON report path")
     s.set_defaults(handler=_cmd_verify_process)
 
-    s = subs.add_parser("tci-ratio", help="analytic tail-dependence ratios / E|R| diagnostics")
+    # no prefix matching: tci-ratio draws no sample, and --n is not --n-mc
+    s = subs.add_parser("tci-ratio", help="analytic tail-dependence ratios / E|R| diagnostics",
+                        allow_abbrev=False)
     _add_common(s)
-    _add_model_args(s, with_n=False)
-    s.add_argument("--n", type=int, help=argparse.SUPPRESS)
+    _add_model_args(s)
     s.add_argument("--y", type=float, help="threshold for a pointwise ratio")
     s.add_argument("--v", help="comma list: light-block covariate values")
     s.add_argument("--w", help="comma list: heavy-block covariate values")
@@ -450,7 +447,7 @@ def run(argv):
             args = parser.parse_args(argv)
         for name in _SIZE_FLAGS:
             if getattr(args, name, None) is not None:
-                _check_size(getattr(args, name), "--" + name.replace("_", "-"))
+                check_size(getattr(args, name), "--" + name.replace("_", "-"))
         return args.handler(args)
     except NumericalError as exc:
         print(f"tirex: numerical failure: {exc}", file=sys.stderr)

@@ -22,10 +22,11 @@ k once, not once per k.  Choosing k = n recovers the classical cumulative
 slicing matrices (CUME / CUVE); both identities are enforced here and
 cross-checked against brute-force double sums in the tests.
 
-The matrices read only the k rows of the largest targets, so ``PreparedFit``
-whitens only those: beside the covariates, a fit holds the O(k p) whitened
-rows and one row block, and spends O(n p^2) only on the covariance, which
-``data.moments`` sums over row blocks.
+Every tail kernel here takes covariate rows already in descending target
+order and reads the first k; the caller that owns the targets orders them
+with ``data.descending_order``.  So ``PreparedFit`` whitens only those k
+rows: beside the covariates, a fit holds them and one row block, and spends
+O(n p^2) only on the covariance, which ``data.moments`` sums over row blocks.
 
 ``tail_increments`` holds the processes' summands, the kernel that
 ``process_verify`` checks against the Gaussian limit.  The M2 recurrence
@@ -61,16 +62,6 @@ _PCA_METHODS = ("pca", "svd_pca")
 _BLOCK = 128
 
 
-def _order_indices(order, n):
-    """``order`` as an index array, checked to be a permutation of range(n)."""
-    idx = np.asarray(order)
-    if not (idx.shape == (n,) and np.issubdtype(idx.dtype, np.integer)
-            and (n == 0 or (idx.min() >= 0 and idx.max() < n))
-            and (np.bincount(idx.astype(np.intp, copy=False), minlength=n) == 1).all()):
-        raise InvalidInputError(f"order must be a permutation of {n} row indices")
-    return idx
-
-
 def _check_k(k, n):
     if not (1 <= k <= n):
         raise InvalidInputError(f"k must satisfy 1 <= k <= n={n}, got {k}")
@@ -89,7 +80,8 @@ def tail_increments(rows, second_order):
 def _add_first_order_block(rows, running, total):
     """Add sum_j S_j S_j^T over the block's prefix sums S_j to ``total`` and
     return S at the block's end; ``running`` is S at its start.  ``rows`` is
-    a scratch copy and is overwritten."""
+    only read."""
+    rows = rows.copy()
     rows[0] += running  # seeding keeps the cumulative sum sequential across blocks
     prefixes = np.cumsum(rows, axis=0)
     total += prefixes.T @ prefixes
@@ -98,7 +90,8 @@ def _add_first_order_block(rows, running, total):
 
 def _add_second_order_block(rows, running, total):
     """Add sum_j T_j^2 over the block's prefix sums T_j to ``total`` and
-    return T at the block's end; ``running`` is T at its start.
+    return T at the block's end; ``running`` is T at its start.  ``rows`` is
+    only read.
 
     Row l (from 0) moves T_{l-1} to T_l = T_{l-1} + z_l z_l^T - I, so
 
@@ -128,9 +121,10 @@ def _add_second_order_block(rows, running, total):
     return running
 
 
-def _prefix_grams(z, order, ks, second_order):
+def _prefix_grams(z, ks, second_order):
     """Candidate matrices (1/k^3) sum_{j<=k} T_j T_j^T for every k of ``ks``
-    (ascending) in one pass over the target-ordered rows.
+    (ascending) in one pass over the rows of ``z``, which must already be in
+    descending target order: the matrix at k reads ``z[:k]``.
 
     Rows run in blocks of at most ``_BLOCK``, each adding its prefixes'
     share of the sum.  First order: a cumulative sum and one (b x p)^T
@@ -140,9 +134,8 @@ def _prefix_grams(z, order, ks, second_order):
     sum, so the whole grid costs O(k_max p^2) or O(k_max p (p + b)) once,
     with memory O(b p) or O(b^2 + b p).
     """
-    z = np.asarray(z, dtype=float)
+    z = np.ascontiguousarray(z, dtype=float)
     n, p = z.shape
-    idx = _order_indices(order, n)
     add_block = _add_second_order_block if second_order else _add_first_order_block
     total = np.zeros((p, p))
     running = np.zeros((p, p)) if second_order else np.zeros(p)
@@ -152,22 +145,22 @@ def _prefix_grams(z, order, ks, second_order):
         _check_k(k, n)
         while start < k:
             stop = min(start + _BLOCK, k)
-            running = add_block(z[idx[start:stop]], running, total)
+            running = add_block(z[start:stop], running, total)
             start = stop
         out.append(symmetrize(total / float(k) ** 3))
     return out
 
 
-def tirex1_matrix(z, order, k):
-    """First-order candidate matrix (1/k^3) sum_j S_j S_j^T over prefix sums
-    S_j of target-ordered covariate rows.  Positive semi-definite, rank <= min(k, p)."""
-    return _prefix_grams(z, order, [k], second_order=False)[0]
+def tirex1_matrix(z, k):
+    """First-order candidate matrix (1/k^3) sum_j S_j S_j^T over prefix sums S_j
+    of ``z[:k]``, rows in descending target order.  PSD, rank <= min(k, p)."""
+    return _prefix_grams(z, [k], second_order=False)[0]
 
 
-def tirex2_matrix(z, order, k):
-    """Second-order candidate matrix (1/k^3) sum_j T_j T_j^T with symmetric
-    p x p accumulants T_j = sum_{i<=j} (z_(i) z_(i)^T - I)."""
-    return _prefix_grams(z, order, [k], second_order=True)[0]
+def tirex2_matrix(z, k):
+    """Second-order candidate matrix (1/k^3) sum_j T_j T_j^T, T_j = sum_{i<=j}
+    (z_i z_i^T - I) over ``z[:k]``, rows in descending target order."""
+    return _prefix_grams(z, [k], second_order=True)[0]
 
 
 @dataclass(frozen=True)
@@ -293,7 +286,7 @@ class PreparedFit:
         if k is None:  # a PCA variant
             return self._pca
         matrix = tirex1_matrix if self._first_order else tirex2_matrix
-        return self._fit_candidate(k, matrix(self._top_rows(k), np.arange(k), k))
+        return self._fit_candidate(k, matrix(self._top_rows(k), k))
 
     def fit_grid(self, k_grid):
         """The fits at every k of ``k_grid`` (any order, repeats allowed), one
@@ -305,10 +298,8 @@ class PreparedFit:
             return [self._pca] * len(ks)
         distinct = sorted(set(ks))
         k_max = max(distinct, default=0)
-        candidates = _prefix_grams(
-            self._top_rows(k_max), np.arange(k_max), distinct,
-            second_order=not self._first_order,
-        )
+        candidates = _prefix_grams(self._top_rows(k_max), distinct,
+                                   second_order=not self._first_order)
         fits = {}
         for k, candidate in zip(distinct, candidates):
             try:

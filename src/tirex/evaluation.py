@@ -239,15 +239,6 @@ def sweep_cell(k, projectors, truth):
     return SweepCell(k, bias_sq, variance, mse, len(mats), failures)
 
 
-def ProcessPoolExecutor(max_workers):
-    """A ``concurrent.futures`` process pool, imported on first use: the
-    import loads multiprocessing, which only ``sweep`` with jobs > 1 needs.
-    Tests replace this name with a serial stand-in."""
-    from concurrent.futures import ProcessPoolExecutor as pool
-
-    return pool(max_workers=max_workers)
-
-
 def _rep_projectors(spec, n, method, d, k_grid, seed, rep):
     """Projector matrices for one replication, one entry per grid position
     (None marks a numerical failure)."""
@@ -283,6 +274,9 @@ def sweep(spec, n, method, d, k_grid, reps, seed, jobs=1):
 
     rep_projectors = partial(_rep_projectors, spec, n, method, d, k_grid, seed)
     if jobs > 1:
+        # imported here: it loads multiprocessing, which only this branch needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, reps)) as pool:
             per_rep = list(pool.map(rep_projectors, range(reps)))
     else:

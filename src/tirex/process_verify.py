@@ -32,7 +32,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .data import ceil_index, csv_text, descending_order
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_size
 from .estimators import tail_increments
 
 
@@ -69,6 +69,8 @@ class ProcessCheckConfig:
     The generator is exact with nu = 0 and D_n = 0, and supplies Xi.
     u_grid must be ascending within (0, 1], each u at or past the first
     breakpoint 1/k, and 1 <= k < n so the extreme fraction is proper.
+    With q = p process components (p^2 at order 2), neither q^2 nor
+    n_reps * len(u_grid) * q may exceed ``errors.MAX_SIZE``.
     """
 
     generator: IndependentNormalModel
@@ -93,6 +95,9 @@ class ProcessCheckConfig:
             raise InvalidInputError("u_grid must be sorted ascending")
         if ceil_index(self.k * grid[0]) < 1:
             raise InvalidInputError(f"u_grid values must be >= 1/k = {1 / self.k!r}")
+        q = self.generator.p ** self.order
+        check_size(q * q, f"q^2 (q = {q} process components)")
+        check_size(self.n_reps * len(grid) * q, "reps x u-grid length x q")
         object.__setattr__(self, "u_grid", grid)
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .data import Dataset
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_size
 
 _QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-10, limit=200)
 
@@ -167,6 +167,7 @@ class MixtureSpec:
     pi2: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        check_size(self.p, "p")
         if not (1 <= self.d < self.p):
             raise InvalidInputError(f"need 1 <= d < p, got d={self.d}, p={self.p}")
         if not (0.0 <= self.theta <= 1.0):

@@ -86,8 +86,8 @@ def test_criterion_1_closed_form_vs_definition_oracle():
         y = rng.standard_normal(n)
         order = descending_order(y)
         k = int(rng.integers(1, n + 1))
-        d1 = np.linalg.norm(tirex1_matrix(z, order, k) - integral_oracle_tirex1(z, order, k))
-        d2 = np.linalg.norm(tirex2_matrix(z, order, k) - integral_oracle_tirex2(z, order, k))
+        d1 = np.linalg.norm(tirex1_matrix(z[order], k) - integral_oracle_tirex1(z, order, k))
+        d2 = np.linalg.norm(tirex2_matrix(z[order], k) - integral_oracle_tirex2(z, order, k))
         worst = max(worst, d1, d2)
     elapsed = time.time() - t0
     report(1, worst < 1e-10 and elapsed < 5.0,
@@ -106,8 +106,8 @@ def test_criterion_2_cume_cuve_identity():
         order = descending_order(y)
         worst = max(
             worst,
-            np.linalg.norm(tirex1_matrix(z, order, n) - cume_matrix_oracle(z, y)),
-            np.linalg.norm(tirex2_matrix(z, order, n) - cuve_matrix_oracle(z, y)),
+            np.linalg.norm(tirex1_matrix(z[order], n) - cume_matrix_oracle(z, y)),
+            np.linalg.norm(tirex2_matrix(z[order], n) - cuve_matrix_oracle(z, y)),
         )
     elapsed = time.time() - t0
     report(2, worst < 1e-10 and elapsed < 5.0,
@@ -222,9 +222,9 @@ def test_criterion_9_invariance_suite():
         z = rng.standard_normal((n, p))
         order = descending_order(rng.standard_normal(n))
         k = int(rng.integers(1, n + 1))
-        for mat in (tirex1_matrix(z, order, k), tirex2_matrix(z, order, k)):
+        for mat in (tirex1_matrix(z[order], k), tirex2_matrix(z[order], k)):
             psd_ok = psd_ok and sym_eigen(mat).eigenvalues[-1] >= -1e-10
-        vals = sym_eigen(tirex1_matrix(z, order, k)).eigenvalues
+        vals = sym_eigen(tirex1_matrix(z[order], k)).eigenvalues
         bound = min(k, p)
         if bound < p and vals[0] > 0:
             rank_ok = rank_ok and bool(np.all(vals[bound:] < 1e-8 * vals[0]))

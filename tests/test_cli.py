@@ -358,6 +358,8 @@ ER = ["tci-ratio", "--model", "A", "--expected-abs-r", "--y-grid", "20", "--seed
     (ER[:3] + ER[4:] + ["--n-mc", "100"], {"expected_abs_r": "false"}),
     (ER[:3] + ER[4:] + ["--n-mc", "100"], {"expected_abs_r": "no"}),
     (ER[:3] + ER[4:] + ["--n-mc", "100"], {"expected_abs_r": 2}),
+    # a method named twice used to write two identical rows
+    (CLASSIFY_A[:5] + ["--methods", "pca,tirex1,pca"] + CLASSIFY_A[7:], None),
 ])
 def test_parse_errors_exit_1_with_message(tmp_path, capsys, argv, config):
     argv = argv + ["--out", str(tmp_path / "out")]
@@ -514,14 +516,18 @@ def test_simulate_sidecar_may_not_overwrite_the_csv(tmp_path, capsys):
 
 
 def test_tci_ratio_spec_needs_no_n(tmp_path, capsys):
+    # tci-ratio draws no sample, so it takes no --n and no config key n
     path = tmp_path / "s.json"
     path.write_text(json.dumps(GOOD_SPEC))
     point = ["tci-ratio", "--spec", str(path), "--y", "20", "--v", "1", "--w", "1"]
     assert run(point) == 0
-    without_n = json.loads(capsys.readouterr().out)
-    assert run(point + ["--n", "10"]) == 0
-    with_n = json.loads(capsys.readouterr().out)
-    assert (without_n["r"], without_n["r_tilde"]) == (with_n["r"], with_n["r_tilde"])
+    assert set(json.loads(capsys.readouterr().out)) == {"y", "r", "r_tilde"}
+    assert run(point + ["--n", "5"]) == 1
+    assert "unrecognized arguments: --n 5" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 5}))
+    assert run(point + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "tirex: error: unknown config key 'n'\n"
 
 
 @pytest.mark.parametrize("flag", [
@@ -663,6 +669,43 @@ def test_oversized_sizes_are_user_errors(tmp_path, monkeypatch, capsys, argv, co
     assert list(tmp_path.iterdir()) == ([] if config is None else [tmp_path / "cfg.json"])
 
 
+@pytest.mark.parametrize("argv, spec_p, message", [
+    pytest.param(
+        VERIFY[:1] + ["--p", "10000000000", "--order", "1", "--n", "5000", "--k", "500",
+                      "--reps", "100", "--seed", "1"], None,
+        f"q^2 (q = 10000000000 process components) must be at most {2**48}, got {10**20}",
+        id="verify-process --p"),
+    pytest.param(
+        VERIFY + ["--p", "5000", "--order", "2"], None,
+        f"q^2 (q = 25000000 process components) must be at most {2**48}, got {625 * 10**12}",
+        id="verify-process --p at order 2"),
+    pytest.param(
+        VERIFY[:5] + ["--reps", "100000000000000", "--seed", "3"], None,
+        f"reps x u-grid length x q must be at most {2**48}, got {15 * 10**14}",
+        id="verify-process --reps times the u-grid"),
+    pytest.param(
+        ["simulate", "--spec", "s.json", "--n", "5", "--seed", "1"], int(HUGE),
+        f"p must be at most {2**48}, got {HUGE}", id="simulate spec p"),
+    pytest.param(
+        ["tci-ratio", "--spec", "s.json", "--y", "20", "--v", "1", "--w", "1"], int(HUGE),
+        f"p must be at most {2**48}, got {HUGE}", id="tci-ratio spec p"),
+    pytest.param(
+        ["tci-ratio", "--spec", "s.json", "--y", "20", "--v", "1", "--w", "1"], 2**48 + 1,
+        f"p must be at most {2**48}, got {2**48 + 1}", id="tci-ratio spec p just past"),
+])
+def test_oversized_products_are_user_errors(tmp_path, monkeypatch, capsys, argv, spec_p,
+                                            message):
+    # a size that no single flag bounds: a spec file's p, or the arrays the
+    # process check allocates from --p, --order, --reps and the --u-grid
+    # length; these used to escape as ValueError tracebacks
+    monkeypatch.chdir(tmp_path)
+    if spec_p is not None:
+        (tmp_path / "s.json").write_text(json.dumps(dict(GOOD_SPEC, p=spec_p)))
+    assert run(argv + ["--out", "o.csv"]) == 1
+    assert capsys.readouterr().err == f"tirex: error: {message}\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
 SIM = ["simulate", "--n", "5", "--seed", "1", "--out", "o.csv"]
 
 
@@ -678,6 +721,8 @@ SIM = ["simulate", "--n", "5", "--seed", "1", "--out", "o.csv"]
     (SIM[:-1] + ["/"], "--out '/' is not a file path"),
     (["classify", "--model", "A", "--n", "300", "--methods", "tirex1,nope", "--d", "1",
       "--seed", "1", "--out", "o.csv"], "unknown method 'nope' in --methods"),
+    (["classify", "--model", "A", "--n", "300", "--methods", "pca,tirex1,pca", "--d", "1",
+      "--seed", "1", "--out", "o.csv"], "method 'pca' named twice in --methods"),
 ])
 def test_cli_user_errors_write_nothing(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)

@@ -339,9 +339,9 @@ def test_prepared_fit_whitens_the_top_rows_of_the_full_whitening(monkeypatch, me
     seen = []
     real = estimators._prefix_grams
 
-    def spy(z, order, ks, second_order):
+    def spy(z, ks, second_order):
         seen.append(z)
-        return real(z, order, ks, second_order)
+        return real(z, ks, second_order)
 
     monkeypatch.setattr(estimators, "_prefix_grams", spy)
     z, order = standardize(ds).z, descending_order(ds.y)

@@ -136,32 +136,32 @@ def test_processes_at_zero_and_piecewise_constant():
 def test_tirex1_single_row():
     z = np.array([[3.0, -1.0]])
     order = np.array([0])
-    assert np.allclose(tirex1_matrix(z, order, 1), np.outer(z[0], z[0]))
+    assert np.allclose(tirex1_matrix(z[order], 1), np.outer(z[0], z[0]))
 
 
 def test_tirex1_zero_covariates():
     z = np.zeros((5, 2))
     order = descending_order(np.arange(5.0))
-    assert np.array_equal(tirex1_matrix(z, order, 4), np.zeros((2, 2)))
+    assert np.array_equal(tirex1_matrix(z[order], 4), np.zeros((2, 2)))
 
 
 def test_tirex2_single_row_scalar():
     z = np.array([[2.0]])
-    assert tirex2_matrix(z, np.array([0]), 1)[0, 0] == pytest.approx(9.0)
+    assert tirex2_matrix(z, 1)[0, 0] == pytest.approx(9.0)
 
 
 def test_tirex2_unit_rows_vanish():
     # z z^T - I contributes zero whenever z = +-1 in one dimension
     z = np.array([[1.0], [-1.0], [1.0]])
     order = descending_order(np.array([3.0, 2.0, 1.0]))
-    assert np.abs(tirex2_matrix(z, order, 3)).max() < 1e-15
+    assert np.abs(tirex2_matrix(z[order], 3)).max() < 1e-15
 
 
 def test_tirex1_small_instance_vs_oracle():
     rng = np.random.default_rng(0)
     z, y = random_instance(rng, n=4, p=2)
     order = descending_order(y)
-    got = tirex1_matrix(z, order, 3)
+    got = tirex1_matrix(z[order], 3)
     want = integral_oracle_tirex1(z, order, 3)
     assert np.abs(got - want).max() < 1e-12
 
@@ -170,7 +170,7 @@ def test_tirex2_small_instance_vs_oracle():
     rng = np.random.default_rng(1)
     z, y = random_instance(rng, n=5, p=2)
     order = descending_order(y)
-    got = tirex2_matrix(z, order, 4)
+    got = tirex2_matrix(z[order], 4)
     want = integral_oracle_tirex2(z, order, 4)
     assert np.abs(got - want).max() < 1e-12
 
@@ -181,8 +181,8 @@ def test_candidate_matrices_match_integral_oracle_200_instances():
         z, y = random_instance(rng)
         order = descending_order(y)
         k = int(rng.integers(1, z.shape[0] + 1))
-        d1 = np.linalg.norm(tirex1_matrix(z, order, k) - integral_oracle_tirex1(z, order, k))
-        d2 = np.linalg.norm(tirex2_matrix(z, order, k) - integral_oracle_tirex2(z, order, k))
+        d1 = np.linalg.norm(tirex1_matrix(z[order], k) - integral_oracle_tirex1(z, order, k))
+        d2 = np.linalg.norm(tirex2_matrix(z[order], k) - integral_oracle_tirex2(z, order, k))
         assert d1 < 1e-10
         assert d2 < 1e-10
 
@@ -198,13 +198,30 @@ def test_tirex2_blocked_accumulation_matches_direct():
         zk = z[order[:k]]
         t = np.cumsum(np.einsum("ji,jl->jil", zk, zk) - eye, axis=0)
         want = np.einsum("jab,jcb->ac", t, t) / float(k) ** 3
-        got = tirex2_matrix(z, order, k)
+        got = tirex2_matrix(z[order], k)
         assert np.abs(got - 0.5 * (want + want.T)).max() < 1e-15
+
+
+def test_candidate_matrices_read_only_the_first_k_rows():
+    # the kernels take rows already in descending target order: the matrix
+    # at k reads z[:k], whatever follows it and whatever its memory layout
+    rng = np.random.default_rng(8)
+    ks = [1, _BLOCK, _BLOCK + 3]
+    z = rng.standard_normal((ks[-1], 3))
+    padded = np.vstack([z, np.full((_BLOCK, 3), np.nan)])
+    for second_order in (False, True):
+        want = _prefix_grams(z, ks, second_order)
+        for rows in (padded, np.asfortranarray(z), z[::-1][::-1]):
+            got = _prefix_grams(rows, ks, second_order)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    for k in ks:
+        assert tirex1_matrix(padded, k).tobytes() == tirex1_matrix(z[:k], k).tobytes()
+        assert tirex2_matrix(padded, k).tobytes() == tirex2_matrix(z[:k], k).tobytes()
 
 
 def assert_grid_matches_gram_oracle(z, order, ks):
     for second_order in (False, True):
-        got = _prefix_grams(z, order, ks, second_order)
+        got = _prefix_grams(z[order], ks, second_order)
         want = prefix_gram_oracle(z, order, ks, second_order)
         for k, g, w in zip(ks, got, want):
             assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), (k, second_order)
@@ -249,20 +266,6 @@ def test_grid_matches_gram_oracle_when_second_order_sum_returns_to_zero():
     assert_grid_matches_gram_oracle(z, order, [1, _BLOCK, n // 2, n - 1, n])
 
 
-@pytest.mark.parametrize("order", [
-    [0, 0, 0, 0],          # repeated rows
-    [0.0, 1.0, 2.0, 3.0],  # not integer
-    [0, 1, 2, 4],          # an index past n
-    [-1, 0, 1, 2],         # a negative index
-    [0, 1, 2],             # too short
-])
-def test_candidate_matrices_reject_an_order_that_is_not_a_permutation(order):
-    z = np.arange(8.0).reshape(4, 2)
-    for matrix in (tirex1_matrix, tirex2_matrix):
-        with pytest.raises(InvalidInputError, match="permutation"):
-            matrix(z, order, 2)
-
-
 def test_cume_oracle_single_row():
     z = np.array([[1.0, 2.0]])
     assert np.allclose(cume_matrix_oracle(z, np.array([5.0])), np.outer(z[0], z[0]))
@@ -281,8 +284,8 @@ def test_k_equals_n_identities():
         z, y = random_instance(rng, n=int(rng.integers(2, 41)))
         order = descending_order(y)
         n = z.shape[0]
-        assert np.linalg.norm(tirex1_matrix(z, order, n) - cume_matrix_oracle(z, y)) < 1e-10
-        assert np.linalg.norm(tirex2_matrix(z, order, n) - cuve_matrix_oracle(z, y)) < 1e-10
+        assert np.linalg.norm(tirex1_matrix(z[order], n) - cume_matrix_oracle(z, y)) < 1e-10
+        assert np.linalg.norm(tirex2_matrix(z[order], n) - cuve_matrix_oracle(z, y)) < 1e-10
 
 
 def test_candidates_are_psd_with_bounded_rank():
@@ -292,10 +295,10 @@ def test_candidates_are_psd_with_bounded_rank():
         order = descending_order(y)
         n, p = z.shape
         k = int(rng.integers(1, n + 1))
-        for mat in (tirex1_matrix(z, order, k), tirex2_matrix(z, order, k)):
+        for mat in (tirex1_matrix(z[order], k), tirex2_matrix(z[order], k)):
             vals = sym_eigen(mat).eigenvalues
             assert vals[-1] >= -1e-10
-        m1 = tirex1_matrix(z, order, k)
+        m1 = tirex1_matrix(z[order], k)
         vals = sym_eigen(m1).eigenvalues
         bound = min(k, p)
         if bound < p and vals[0] > 0:

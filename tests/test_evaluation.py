@@ -1,3 +1,4 @@
+import concurrent.futures
 import tracemalloc
 
 import numpy as np
@@ -486,7 +487,7 @@ def test_sweep_starts_no_more_workers_than_replications(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     spec, _ = model_preset("A")
     want = sweep(spec, 200, "tirex1", 1, [20], reps=3, seed=3)
     for jobs in (2, 64):
