@@ -6,8 +6,10 @@ given (flags, config, seed) combination produces byte-identical output files;
 no timestamps enter any payload.
 
 A JSON config file may supply any flag of the chosen subcommand by its
-destination name (e.g. {"method": "tirex1", "k_grid": "100:10000:30"});
-explicit flags override config values, and unknown config keys are errors.
+destination name (e.g. {"method": "tirex1", "k_grid": "100:10000:30"}).  Each
+key becomes a ``--flag=value`` token (true: the bare switch; false, null:
+none) before the typed flags, which so override it; one parse checks both.
+Unknown config keys are errors, and flag names must match exactly.
 
 Exit codes: 0 success, 1 user error (bad flags, missing or malformed files,
 sizes too large for memory), 2 numerical failure (rank deficiency,
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .data import csv_text, load_csv, write_csv
-from .errors import InvalidInputError, NumericalError, TirexError, check_size
+from .errors import MAX_SIZE, InvalidInputError, NumericalError, TirexError, check_size
 from .estimators import METHODS, fit
 from .evaluation import (
     DEFAULT_NEIGHBORS,
@@ -78,41 +80,61 @@ def load_config(path):
     return cfg
 
 
-def _config_value(action, key, value):
-    """Convert and check a config value as argparse does the flag's text, so
-    {"k": 40.7} is refused like --k 40.7."""
-    if action.nargs == 0:  # a switch such as --expected-abs-r
-        if not isinstance(value, bool):
-            raise InvalidInputError(f"config key {key!r}: expected true or false, got {value!r}")
-        return value
-    text = str(value)
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that matches flag names exactly and raises its
+    usage errors as InvalidInputError, which ``run`` reports and maps to
+    exit 1 like any other user error."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise InvalidInputError(message)
+
+
+def _with_config(argv, subparsers):
+    """``argv`` with the keys of its --config file, if any, inserted as
+    flag tokens right after the subcommand, before the typed flags."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("command", nargs="?")
+    pre.add_argument("--config")
+    known, _ = pre.parse_known_args(argv)
+    if known.config is None or known.command not in subparsers:
+        return argv  # the full parse reports what is wrong
+    flags = {a.dest: a.option_strings[0] for a in subparsers[known.command]._actions
+             if a.dest not in ("help", "config")}
+    tokens = []
+    for key, value in load_config(known.config).items():
+        if key not in flags:
+            raise InvalidInputError(f"unknown config key {key!r}")
+        if value is True:
+            tokens.append(flags[key])
+        elif value is not None and value is not False:
+            tokens.append(f"{flags[key]}={value}")
+    at = argv.index(known.command) + 1
+    return argv[:at] + tokens + argv[at:]
+
+
+def _size(text):
+    """The type of --n, --reps and --n-mc: an int at most errors.MAX_SIZE."""
     try:
-        value = action.type(text) if action.type else text
+        value = int(text)
     except ValueError:
-        raise InvalidInputError(f"config key {key!r}: invalid value {value!r}") from None
-    if action.choices is not None and value not in action.choices:
-        choices = ", ".join(map(str, action.choices))
-        raise InvalidInputError(
-            f"config key {key!r}: invalid choice {value!r} (choose from {choices})"
-        )
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value > MAX_SIZE:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_SIZE}, got {value}")
     return value
 
 
-def _config_defaults(path, parser):
-    """The --config values, checked and converted, as defaults for the
-    subcommand's parser; argv parsed again over them lets flags win."""
-    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
-    defaults = {}
-    for key, value in load_config(path).items():
-        if key not in actions:
-            raise InvalidInputError(f"unknown config key {key!r}")
-        if value is not None:
-            defaults[key] = _config_value(actions[key], key, value)
-    return defaults
-
-
-# the flags bounded by errors.MAX_SIZE
-_SIZE_FLAGS = ("n", "reps", "n_mc")
+def _check_output(path, what):
+    """Refuse, before the run, an output path that names a directory or whose
+    directory does not exist.  (A permission error still surfaces when the
+    file is written.)"""
+    path = Path(path)
+    if path.is_dir():
+        raise InvalidInputError(f"{what} is not a file path")
+    if not path.parent.is_dir():
+        raise InvalidInputError(f"{what}: no directory {str(path.parent)!r}")
 
 
 def _require(args, *names):
@@ -145,24 +167,17 @@ def _parse_k_grid(text):
 def _model_spec(args):
     """MixtureSpec from --model preset or --spec file, and its default sample
     size (the preset's; None for a spec file)."""
-    model = args.model
-    spec_path = args.spec
-    if (model is None) == (spec_path is None):
-        raise InvalidInputError("exactly one of --model or --spec is required")
-    if model is not None:
-        spec, preset_n = model_preset(model)
-    else:
-        try:
-            with open(spec_path, "r", encoding="utf-8") as fh:
-                spec = MixtureSpec.from_dict(json.load(fh))
-        except FileNotFoundError:
-            raise InvalidInputError(f"spec file not found: {spec_path}") from None
-        except (KeyError, json.JSONDecodeError) as exc:
-            raise InvalidInputError(f"{spec_path}: bad spec file ({exc})") from None
-        except UnicodeDecodeError:
-            raise InvalidInputError(f"{spec_path}: not UTF-8 text") from None
-        preset_n = None
-    return spec, preset_n
+    if args.model is not None:
+        return model_preset(args.model)
+    try:
+        with open(args.spec, "r", encoding="utf-8") as fh:
+            return MixtureSpec.from_dict(json.load(fh)), None
+    except FileNotFoundError:
+        raise InvalidInputError(f"spec file not found: {args.spec}") from None
+    except (KeyError, json.JSONDecodeError) as exc:
+        raise InvalidInputError(f"{args.spec}: bad spec file ({exc})") from None
+    except UnicodeDecodeError:
+        raise InvalidInputError(f"{args.spec}: not UTF-8 text") from None
 
 
 def _resolve_spec(args):
@@ -180,11 +195,8 @@ def _resolve_spec(args):
 
 
 def _cmd_simulate(args):
-    _require(args, "seed", "out")
-    try:
-        sidecar_path = Path(args.out).with_suffix(".json")
-    except ValueError:  # '', '.' or '/': no file name to give a suffix
-        raise InvalidInputError(f"--out {args.out!r} is not a file path") from None
+    sidecar_path = Path(args.out).with_suffix(".json")  # --out names a file
+    _check_output(sidecar_path, f"the JSON sidecar {str(sidecar_path)!r} of --out")
     # refuse before writing anything: the sidecar must not replace an input
     for flag in ("out", "spec", "config"):
         path = getattr(args, flag)
@@ -207,7 +219,6 @@ def _cmd_simulate(args):
 
 
 def _cmd_fit(args):
-    _require(args, "infile", "method", "out")
     ds = load_csv(args.infile, target=args.target)
     f = fit(ds, args.method, k=args.k, d=args.d, eig_floor=args.eig_floor, ridge=args.ridge)
     _dump_json(f.to_json_dict(), args.out)
@@ -219,7 +230,6 @@ def _cmd_fit(args):
 
 
 def _cmd_sweep(args):
-    _require(args, "method", "d", "k_grid", "reps", "seed", "out")
     spec, n = _resolve_spec(args)
     report = sweep(
         spec, n, args.method, args.d, _parse_k_grid(args.k_grid),
@@ -230,11 +240,9 @@ def _cmd_sweep(args):
 
 
 def _cmd_classify(args):
-    _require(args, "d", "seed", "out")
     if args.infile is not None:
-        for flag in ("model", "spec", "n"):
-            if getattr(args, flag) is not None:
-                raise InvalidInputError(f"--in cannot be combined with --{flag}")
+        if args.n is not None:
+            raise InvalidInputError("--in cannot be combined with --n")
         ds = load_csv(args.infile, target=args.target)
     else:
         spec, n = _resolve_spec(args)
@@ -258,7 +266,6 @@ def _cmd_classify(args):
 
 
 def _cmd_verify_process(args):
-    _require(args, "n", "k", "reps", "seed", "out")
     cfg = ProcessCheckConfig(
         generator=IndependentNormalModel(p=args.p),
         n=args.n,
@@ -307,49 +314,49 @@ def _cmd_tci_ratio(args):
 # parser
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file; flags override its values")
-
-
 def _add_model_args(sub):
-    sub.add_argument("--model", help="built-in model preset: A, B or C")
-    sub.add_argument("--spec", help="JSON mixture-spec file (alternative to --model)")
+    """--model and --spec, exactly one of them required; returns their group."""
+    group = sub.add_mutually_exclusive_group(required=True)
+    group.add_argument("--model", help="built-in model preset: A, B or C")
+    group.add_argument("--spec", help="JSON mixture-spec file (alternative to --model)")
+    return group
 
 
 def _add_sample_args(sub):
-    _add_model_args(sub)
-    sub.add_argument("--n", type=int, help="sample size (defaults to the preset's)")
+    """--model, --spec and --n; returns the --model/--spec group."""
+    group = _add_model_args(sub)
+    sub.add_argument("--n", type=_size, help="sample size (defaults to the preset's)")
+    return group
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tirex",
         description="Tail inverse regression toolkit: synthetic models, "
         "subspace estimators, benchmarks and diagnostics.",
     )
     parser.add_argument("--version", action="version", version=f"tirex {__version__}")
-    subs = parser.add_subparsers(dest="command", metavar="{simulate,fit,sweep,classify,verify-process,tci-ratio}")
+    subs = parser.add_subparsers(
+        required=True, metavar="{simulate,fit,sweep,classify,verify-process,tci-ratio}")
 
     s = subs.add_parser("simulate", help="draw a synthetic dataset to CSV (+ JSON sidecar)")
-    _add_common(s)
     _add_sample_args(s)
-    s.add_argument("--seed", type=int)
+    s.add_argument("--seed", type=int, required=True)
     s.add_argument("--stream", type=int, default=0,
                    help="replication stream index (default %(default)s)")
-    s.add_argument("--out", help="output CSV path")
+    s.add_argument("--out", required=True, help="output CSV path")
     s.set_defaults(handler=_cmd_simulate)
 
     s = subs.add_parser("fit", help="fit a dimension-reduction subspace on a CSV dataset")
-    _add_common(s)
-    s.add_argument("--in", dest="infile", help="input CSV path")
+    s.add_argument("--in", dest="infile", required=True, help="input CSV path")
     s.add_argument("--target", default="y", help="target column name (default %(default)s)")
-    s.add_argument("--method", choices=METHODS)
+    s.add_argument("--method", choices=METHODS, required=True)
     s.add_argument("--k", type=int, help="number of top order statistics (tirex1/tirex2)")
     s.add_argument("--d", type=int, help="subspace dimension (default 1 for tirex1/cume)")
     s.add_argument("--eig-floor", type=float, help="rank floor for the covariance eigenvalues")
     s.add_argument("--ridge", type=float, default=0.0,
                    help="add ridge*I to the covariance before whitening")
-    s.add_argument("--out", help="output JSON path (method, k, d, eigenvalues)")
+    s.add_argument("--out", required=True, help="output JSON path (method, k, d, eigenvalues)")
     s.add_argument("--basis-out", help="optional CSV of the raw-coordinate basis")
     s.add_argument("--projector-out", help="optional CSV of the whitened projector")
     s.set_defaults(handler=_cmd_fit)
@@ -358,27 +365,26 @@ def build_parser():
         "sweep", aliases=["sweep-k"],
         help="bias^2/variance/MSE of the projector over a k grid",
     )
-    _add_common(s)
     _add_sample_args(s)
-    s.add_argument("--method", choices=METHODS)
-    s.add_argument("--d", type=int)
-    s.add_argument("--k-grid", help="lo:hi:count (geometric), comma list, or single k")
-    s.add_argument("--reps", type=int)
-    s.add_argument("--seed", type=int)
+    s.add_argument("--method", choices=METHODS, required=True)
+    s.add_argument("--d", type=int, required=True)
+    s.add_argument("--k-grid", required=True,
+                   help="lo:hi:count (geometric), comma list, or single k")
+    s.add_argument("--reps", type=_size, required=True)
+    s.add_argument("--seed", type=int, required=True)
     s.add_argument("--jobs", type=int, default=1,
                    help="parallel replication workers (default %(default)s)")
-    s.add_argument("--out", help="output CSV path (k,bias_sq,variance,mse)")
+    s.add_argument("--out", required=True, help="output CSV path (k,bias_sq,variance,mse)")
     s.add_argument("--json-out", help="optional JSON report path")
     s.set_defaults(handler=_cmd_sweep)
 
     s = subs.add_parser("classify", help="tail-event classification benchmark")
-    _add_common(s)
-    _add_sample_args(s)
-    s.add_argument("--in", dest="infile", help="input CSV (alternative to --model/--spec)")
+    _add_sample_args(s).add_argument(
+        "--in", dest="infile", help="input CSV (alternative to --model/--spec)")
     s.add_argument("--target", default="y", help="target column name (default %(default)s)")
     s.add_argument("--methods", default=",".join(METHODS),
                    help="comma list of methods (default: all)")
-    s.add_argument("--d", type=int)
+    s.add_argument("--d", type=int, required=True)
     s.add_argument("--quantile-level", type=float, default=0.98,
                    help="exceedance quantile (default %(default)s)")
     s.add_argument("--folds", type=int, default=5,
@@ -386,8 +392,8 @@ def build_parser():
     s.add_argument("--k-grid", help="candidate k values (default 30 geometric in [n/100, n])")
     s.add_argument("--neighbors", type=int, default=DEFAULT_NEIGHBORS,
                    help="k-NN vote size (default %(default)s)")
-    s.add_argument("--seed", type=int)
-    s.add_argument("--out", help="output CSV path (method,am_risk,auc,chosen_k)")
+    s.add_argument("--seed", type=int, required=True)
+    s.add_argument("--out", required=True, help="output CSV path (method,am_risk,auc,chosen_k)")
     s.add_argument("--json-out", help="optional JSON report path")
     s.set_defaults(handler=_cmd_classify)
 
@@ -395,25 +401,21 @@ def build_parser():
         "verify-process",
         help="Monte-Carlo check of the tail process covariance limit",
     )
-    _add_common(s)
     s.add_argument("--p", type=int, default=IndependentNormalModel.p,
                    help="covariate dimension of the check model (default %(default)s)")
-    s.add_argument("--n", type=int)
-    s.add_argument("--k", type=int)
-    s.add_argument("--reps", type=int)
+    s.add_argument("--n", type=_size, required=True)
+    s.add_argument("--k", type=int, required=True)
+    s.add_argument("--reps", type=_size, required=True)
     s.add_argument("--u-grid", default="0.1,0.3,0.5,0.7,1.0",
                    help="comma list of u values (default %(default)s)")
     s.add_argument("--order", type=int, choices=(1, 2), default=ProcessCheckConfig.order,
                    help="process order (default %(default)s)")
-    s.add_argument("--seed", type=int)
-    s.add_argument("--out", help="output CSV path")
+    s.add_argument("--seed", type=int, required=True)
+    s.add_argument("--out", required=True, help="output CSV path")
     s.add_argument("--json-out", help="optional JSON report path")
     s.set_defaults(handler=_cmd_verify_process)
 
-    # no prefix matching: tci-ratio draws no sample, and --n is not --n-mc
-    s = subs.add_parser("tci-ratio", help="analytic tail-dependence ratios / E|R| diagnostics",
-                        allow_abbrev=False)
-    _add_common(s)
+    s = subs.add_parser("tci-ratio", help="analytic tail-dependence ratios / E|R| diagnostics")
     _add_model_args(s)
     s.add_argument("--y", type=float, help="threshold for a pointwise ratio")
     s.add_argument("--v", help="comma list: light-block covariate values")
@@ -421,34 +423,29 @@ def build_parser():
     s.add_argument("--expected-abs-r", action="store_true",
                    help="Monte-Carlo E|R| over a y grid instead of a pointwise ratio")
     s.add_argument("--y-grid", help="comma list of thresholds for --expected-abs-r")
-    s.add_argument("--n-mc", type=int, default=100_000,
+    s.add_argument("--n-mc", type=_size, default=100_000,
                    help="Monte-Carlo draws (default %(default)s)")
     s.add_argument("--seed", type=int)
     s.add_argument("--out", help="output JSON path (default: stdout)")
     s.set_defaults(handler=_cmd_tci_ratio)
 
-    return parser, {name: sp for name, sp in subs.choices.items()}
+    for s in set(subs.choices.values()):
+        s.add_argument("--config", help="JSON config file; flags override its values")
+    return parser, subs.choices
 
 
 def run(argv):
     """Entry point returning an exit code (0 ok, 1 user error, 2 numerical)."""
-    parser, subparsers = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-    if getattr(args, "command", None) is None:
-        parser.print_usage(sys.stderr)
-        return 1
-    try:
-        if args.config:
-            subparser = subparsers[args.command]
-            subparser.set_defaults(**_config_defaults(args.config, subparser))
-            args = parser.parse_args(argv)
-        for name in _SIZE_FLAGS:
-            if getattr(args, name, None) is not None:
-                check_size(getattr(args, name), "--" + name.replace("_", "-"))
+        parser, subparsers = build_parser()
+        args = parser.parse_args(_with_config(list(argv), subparsers))
+        for flag in ("--out", "--json-out", "--basis-out", "--projector-out"):
+            path = getattr(args, flag[2:].replace("-", "_"), None)
+            if path is not None:  # checked before any work
+                _check_output(path, f"{flag} {path!r}")
         return args.handler(args)
+    except SystemExit:  # --help and --version, after printing
+        return 0
     except NumericalError as exc:
         print(f"tirex: numerical failure: {exc}", file=sys.stderr)
         return 2

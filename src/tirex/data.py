@@ -74,8 +74,7 @@ class StandardizedDataset:
     covariance and its inverse square root W, the whitener.
 
     Only ``x`` itself is held, not its whitened copy: ``whiten(rows)`` gives
-    z_i = W (x_i - mean) for the rows an estimator reads, and ``z`` all n of
-    them, built on each access.
+    z_i = W (x_i - mean) for the rows an estimator reads.
     """
 
     x: np.ndarray
@@ -83,18 +82,17 @@ class StandardizedDataset:
     covariance: np.ndarray
     whitener: np.ndarray
 
-    def whiten(self, rows=None):
-        """Whitened covariates of ``rows`` (an index array, in its order), or
-        of every row when None, as a new (len(rows), p) array.
+    def whiten(self, rows):
+        """Whitened covariates of ``rows`` (an index array, in its order), as
+        a new (len(rows), p) array.
 
         The rows are gathered, centered and multiplied by the whitener one
         block at a time; a row's bits do not depend on which rows share its
-        block, so ``whiten(rows)`` equals ``z[rows]``.  A single row is
-        whitened twice over: numpy sends a one-row product to a
-        matrix-vector kernel, whose sums round differently.
+        block, so ``whiten(rows)`` equals those rows of
+        ``whiten(np.arange(n))``.  A single row is whitened twice over:
+        numpy sends a one-row product to a matrix-vector kernel, whose sums
+        round differently.
         """
-        if rows is None:
-            rows = np.arange(self.x.shape[0])
         rows = np.asarray(rows)
         m = rows.shape[0]
         if m == 1:
@@ -107,25 +105,29 @@ class StandardizedDataset:
             del block  # else it lives on beside the next block
         return z
 
-    @property
-    def z(self):
-        """Every row whitened, in row order: a new n x p array per access."""
-        return self.whiten()
 
-
-def descending_order(y):
+def descending_order(y, k=None):
     """Indices sorting ``y`` descending; ties keep original order (stable).
+    With ``k``, only the first k of them: ``descending_order(y)[:k]``.
 
     Without ties the descending order is unique, so numpy's default (SIMD)
     argsort already gives it; a tie or a NaN among the sorted values sends
-    the call to the stable sort.
+    the call to the stable sort.  For 0 < k < n, argpartition selects the k
+    largest values and only they are sorted; that is the answer when they
+    strictly descend and the last lies above the (k+1)-th largest value,
+    and any tie among those k + 1 values sends the call to the stable sort.
     """
     neg = -np.asarray(y, dtype=float)
-    order = np.argsort(neg)
-    ranked = neg[order]
+    if k is not None and 0 < k < neg.shape[0]:
+        part = np.argpartition(neg, k)
+        order = part[:k][np.argsort(neg[part[:k]])]
+        ranked = np.append(neg[order], neg[part[k]])
+    else:
+        order = np.argsort(neg)
+        ranked = neg[order]
     if (ranked[1:] > ranked[:-1]).all():  # False for equal neighbours and NaN
-        return order
-    return np.argsort(neg, kind="stable")
+        return order[:k]
+    return np.argsort(neg, kind="stable")[:k]
 
 
 def load_csv(path, target="y"):

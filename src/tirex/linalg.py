@@ -21,12 +21,14 @@ def symmetrize(m):
     """Return the symmetric average (M + M^T)/2 as a new float array.
 
     Averaging makes entries [i, j] and [j, i] bitwise equal, which the rest
-    of the module relies on.
+    of the module relies on.  The halves are summed, so a finite matrix
+    never overflows; above the subnormal range halving is exact, so the
+    bits are those of (M + M^T) * 0.5.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
-    return 0.5 * (m + m.T)
+    return 0.5 * m + 0.5 * m.T
 
 
 @dataclass(frozen=True)

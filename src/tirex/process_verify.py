@@ -174,13 +174,19 @@ def _failures(entries):
     return [{k: v for k, v in asdict(e).items() if k != "ok"} for e in entries if not e.ok]
 
 
-def _process_values(z, y, k, u_grid, order):
+def _grid_rows(k, u_grid):
+    """For each u, the prefix (0-based, of k) that D_hat_n(u) reads."""
+    return [min(ceil_index(k * u), k) - 1 for u in u_grid]
+
+
+def _process_values(z, y, k, grid_rows, order):
     """D_hat_n(u) on the grid from one sample: prefix sums of the tail
-    increments over rows ordered by descending target, divided by k, one
-    row per u (the second-order p x p values flattened)."""
-    rows = z[descending_order(y)[:k]]
+    increments over the k rows of largest target, in descending order,
+    divided by k, one row per u (``grid_rows``; the second-order p x p
+    values flattened)."""
+    rows = z[descending_order(y, k)]
     prefixes = np.cumsum(tail_increments(rows, order == 2).reshape(k, -1), axis=0)
-    return prefixes[[min(ceil_index(k * u), k) - 1 for u in u_grid]] / k
+    return prefixes[grid_rows] / k
 
 
 def _replication_workers(n_reps):
@@ -213,13 +219,14 @@ def covariance_check(cfg):
     q = limit_cov.shape[0]
     scale = np.sqrt(cfg.k)
 
+    grid_rows = _grid_rows(cfg.k, grid)
     devs = np.empty((cfg.n_reps, n_u, q))
     workers = _replication_workers(cfg.n_reps)
 
     def run_share(first):
         for r in range(first, cfg.n_reps, workers):
             z, y = cfg.generator.sample(cfg.n, rngmod.stream(cfg.seed, 4, r))
-            devs[r] = scale * _process_values(z, y, cfg.k, grid, cfg.order)
+            devs[r] = scale * _process_values(z, y, cfg.k, grid_rows, cfg.order)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(run_share, range(workers)))

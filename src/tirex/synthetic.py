@@ -287,13 +287,13 @@ def _sf_zeta(spec, t):
 
 
 def _check_tail_validity(spec, y):
+    if not math.isfinite(y):
+        raise InvalidInputError(f"the threshold y must be finite, got y={y}")
     bound = spec.covariate_law.upper()
     if not y > bound:
         raise InvalidInputError(
             f"analytic survival formulas require y > {bound} for this covariate law, got y={y}"
         )
-    if not math.isfinite(y):
-        raise InvalidInputError(f"the threshold y must be finite, got y={y}")
 
 
 def _s1_conditional(spec, y, v):

@@ -164,3 +164,8 @@ def one_shot_moments(x, centered=True):
     mean = x.mean(axis=0) if centered else np.zeros(x.shape[1])
     xc = x - mean
     return mean, symmetrize(xc.T @ xc / x.shape[0])
+
+
+def whiten_all(std):
+    """Every row of a ``StandardizedDataset`` whitened, in row order."""
+    return std.whiten(np.arange(std.x.shape[0]))

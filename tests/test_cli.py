@@ -293,13 +293,16 @@ def test_tci_ratio_config_can_enable_expectation_mode(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["--y", "inf", "--v", "1", "--w", "1"],
     ["--expected-abs-r", "--y-grid", "20,inf", "--n-mc", "100", "--seed", "1"],
+    ["--y", "nan", "--v", "1", "--w", "1"],
+    ["--expected-abs-r", "--y-grid", "20,nan", "--n-mc", "100", "--seed", "1"],
 ])
 def test_tci_ratio_threshold_must_be_finite(tmp_path, capsys, argv):
-    # an infinite y used to exit 0 and write Infinity, which is not JSON
+    # an infinite y used to exit 0 and write Infinity, which is not JSON; a NaN
+    # y was reported as lying below the closed forms' validity bound
     out = tmp_path / "r.json"
     assert run(["tci-ratio", "--model", "A"] + argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("tirex: error:") and "finite" in err
+    assert err.startswith("tirex: error: the threshold y must be finite, got y=")
     assert not out.exists()
 
 
@@ -550,6 +553,18 @@ def test_fit_bad_floor_or_ridge_is_a_user_error(tmp_path, capsys, flag):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("ridge", ["1e300", "1e308"])
+def test_fit_ridge_near_the_largest_float_is_no_traceback(tmp_path, capsys, ridge):
+    # symmetrizing the ridged covariance used to overflow at 1e308
+    data, out = tmp_path / "a.csv", tmp_path / "f.json"
+    assert run(["simulate", "--model", "A", "--n", "200", "--seed", "1",
+                "--out", str(data)]) == 0
+    assert run(["fit", "--in", str(data), "--method", "tirex1", "--k", "20",
+                "--ridge", ridge, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "tirex: error: columns are numerically dependent\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method", [["--method", "tirex1", "--k", "2"],
                                     ["--method", "pca", "--d", "1"]])
 def test_fit_overflowing_second_moment_is_a_user_error(tmp_path, capsys, method):
@@ -593,7 +608,7 @@ def test_input_file_that_is_not_utf8_is_a_user_error(tmp_path, capsys, flag):
     ([], {"model": "B"}, "model"),
 ])
 def test_classify_input_file_excludes_model_spec_and_n(tmp_path, capsys, argv, config, flag):
-    # the CSV used to win silently
+    # the CSV used to win silently; argparse names the later flag of the group
     data, out = tmp_path / "d.csv", tmp_path / "c.csv"
     assert run(["simulate", "--model", "A", "--n", "300", "--seed", "4",
                 "--out", str(data)]) == 0
@@ -603,7 +618,13 @@ def test_classify_input_file_excludes_model_spec_and_n(tmp_path, capsys, argv, c
         argv = argv + ["--config", str(cfg)]
     assert run(["classify", "--in", str(data), "--methods", "pca", "--d", "1",
                 "--quantile-level", "0.9", "--seed", "1", "--out", str(out)] + argv) == 1
-    assert capsys.readouterr().err == f"tirex: error: --in cannot be combined with --{flag}\n"
+    if flag == "n":
+        message = "--in cannot be combined with --n"
+    elif config is None:
+        message = f"argument --{flag}: not allowed with argument --in"
+    else:  # config keys come before the typed flags
+        message = f"argument --in: not allowed with argument --{flag}"
+    assert capsys.readouterr().err == f"tirex: error: {message}\n"
     assert not out.exists()
 
 
@@ -659,13 +680,15 @@ HUGE = "10000000000000000000"  # past numpy's largest dimension
 ])
 def test_oversized_sizes_are_user_errors(tmp_path, monkeypatch, capsys, argv, config, flag):
     # these used to escape as ValueError tracebacks ("Maximum allowed dimension
-    # exceeded", "array is too big") rather than MemoryError
+    # exceeded", "array is too big") rather than MemoryError; a size flag's
+    # type refuses them, the k-grid parser its count
     monkeypatch.chdir(tmp_path)
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         argv = argv + ["--config", "cfg.json"]
     assert run(argv + ["--out", "o.csv"]) == 1
-    assert capsys.readouterr().err.startswith(f"tirex: error: {flag} must be at most {2**48}, got ")
+    what = flag if flag == "the k-grid count" else f"argument {flag}:"
+    assert capsys.readouterr().err.startswith(f"tirex: error: {what} must be at most {2**48}, got ")
     assert list(tmp_path.iterdir()) == ([] if config is None else [tmp_path / "cfg.json"])
 
 
@@ -710,15 +733,15 @@ SIM = ["simulate", "--n", "5", "--seed", "1", "--out", "o.csv"]
 
 
 @pytest.mark.parametrize("argv, message", [
-    (SIM, "exactly one of --model or --spec is required"),
+    (SIM, "one of the arguments --model --spec is required"),
     (SIM + ["--model", "A", "--spec", "good.json"],
-     "exactly one of --model or --spec is required"),
+     "argument --spec: not allowed with argument --model"),
     (SIM + ["--spec", "missing.json"], "spec file not found: missing.json"),
     (SIM + ["--spec", "no_d.json"], "no_d.json: bad spec file ('d')"),
     (["simulate", "--spec", "good.json", "--seed", "1", "--out", "o.csv"],
      "--n is required with --spec"),
-    (SIM[:-1] + [""], "--out '' is not a file path"),
-    (SIM[:-1] + ["/"], "--out '/' is not a file path"),
+    (SIM[:-1] + ["", "--model", "A"], "--out '' is not a file path"),
+    (SIM[:-1] + ["/", "--model", "A"], "--out '/' is not a file path"),
     (["classify", "--model", "A", "--n", "300", "--methods", "tirex1,nope", "--d", "1",
       "--seed", "1", "--out", "o.csv"], "unknown method 'nope' in --methods"),
     (["classify", "--model", "A", "--n", "300", "--methods", "pca,tirex1,pca", "--d", "1",
@@ -732,6 +755,85 @@ def test_cli_user_errors_write_nothing(tmp_path, monkeypatch, capsys, argv, mess
     assert run(argv) == 1
     assert capsys.readouterr().err == f"tirex: error: {message}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["good.json", "no_d.json"]
+
+
+COMMANDS = "{simulate,fit,sweep,classify,verify-process,tci-ratio}"
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    ([], None, f"the following arguments are required: {COMMANDS}"),
+    (["sweep-kk"], None, f"argument {COMMANDS}: invalid choice: 'sweep-kk' (choose from "
+     "'simulate', 'fit', 'sweep', 'sweep-k', 'classify', 'verify-process', 'tci-ratio')"),
+    # flag names match exactly: --k is not --k-grid, --method not --methods
+    (SWEEP_A + ["--k", "40"], None, "the following arguments are required: --k-grid"),
+    (SWEEP_A + ["--k-grid", "40", "--k", "40"], None, "unrecognized arguments: --k 40"),
+    (CLASSIFY_A[:5] + ["--method", "tirex1"] + CLASSIFY_A[7:], None,
+     "unrecognized arguments: --method tirex1"),
+    (ER + ["--n-m", "5"], None, "unrecognized arguments: --n-m 5"),
+    (SWEEP_A + ["--k-grid", "40", "--reps", "2.5"], None,
+     "argument --reps: invalid int value: '2.5'"),
+    (SWEEP_A + ["--k-grid", "40", "--spec", "s.json"], None,
+     "argument --spec: not allowed with argument --model"),
+    (SWEEP_A + ["--k-grid", "40"], {"k": 40}, "unknown config key 'k'"),
+    (SWEEP_A + ["--k-grid", "40"], {"jobs": "x"}, "argument --jobs: invalid int value: 'x'"),
+    (SWEEP_A + ["--k-grid", "40"], {"method": "sir"},
+     "argument --method: invalid choice: 'sir' (choose from 'tirex1', 'tirex2', 'cume', "
+     "'cuve', 'pca', 'svd_pca')"),
+    (SWEEP_A + ["--k-grid", "40"], {"spec": "s.json"},
+     "argument --model: not allowed with argument --spec"),
+    (SWEEP_A + ["--k-grid", "40"], {"n": 2**48 + 1},
+     f"argument --n: must be at most {2**48}, got {2**48 + 1}"),
+    (ER, {"expected_abs_r": "yes"}, "argument --expected-abs-r: ignored explicit argument 'yes'"),
+])
+def test_usage_errors_from_argv_or_config_have_one_format(tmp_path, monkeypatch, capsys, argv,
+                                                          config, message):
+    # argparse's own errors used to print the usage and exit 2 ("tirex sweep:
+    # error: ..."), config errors had their own wording, and every subcommand
+    # but tci-ratio took a unique prefix for a flag
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        argv = argv + ["--config", "c.json"]
+    assert run(argv + ["--out", "o.csv"] if argv else argv) == 1
+    assert capsys.readouterr().err == f"tirex: error: {message}\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_config_false_leaves_a_switch_unset(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"expected_abs_r": False, "seed": None, "y": 2}))
+    assert run(["tci-ratio", "--model", "C", "--v", "1", "--w", "0",
+                "--config", str(cfg)]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {"y", "r", "r_tilde"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--model", "A", "--n", "50", "--seed", "1", "--out", "dir.csv"],
+     "the JSON sidecar 'dir.json' of --out is not a file path"),
+    (["fit", "--in", "a.csv", "--method", "pca", "--d", "1", "--out", "f.json",
+      "--basis-out", "missing/b.csv"], "--basis-out 'missing/b.csv': no directory 'missing'"),
+    (["fit", "--in", "a.csv", "--method", "pca", "--d", "1", "--out", "f.json",
+      "--projector-out", "a.csv/p.csv"], "--projector-out 'a.csv/p.csv': no directory 'a.csv'"),
+    (SWEEP_A + ["--k-grid", "40", "--out", "o.csv", "--json-out", "dir.json"],
+     "--json-out 'dir.json' is not a file path"),
+    (CLASSIFY_A + ["--out", "o.csv", "--json-out", "dir.json"],
+     "--json-out 'dir.json' is not a file path"),
+    (VERIFY + ["--out", "missing/v.csv"], "--out 'missing/v.csv': no directory 'missing'"),
+    (["tci-ratio", "--model", "C", "--y", "2", "--v", "1", "--w", "0", "--out", "dir.json"],
+     "--out 'dir.json' is not a file path"),
+])
+def test_unwritable_output_is_refused_before_the_run(tmp_path, monkeypatch, capsys, argv,
+                                                      message):
+    # the run used to finish, write the outputs before the bad one, and only
+    # then fail with an i/o error
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.csv").write_text("x1,x2,y\n" + "".join(f"{i % 7},{i % 5},{i}\n"
+                                                          for i in range(30)))
+    (tmp_path / "dir.json").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"tirex: error: {message}\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_classify_default_k_grid(tmp_path):

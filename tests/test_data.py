@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -23,7 +23,7 @@ from tirex.errors import InvalidInputError, RankDeficiencyError
 from tirex.estimators import PreparedFit
 from tirex.synthetic import model_preset, sample
 
-from oracles import one_shot_moments, write_csv_oracle
+from oracles import one_shot_moments, whiten_all, write_csv_oracle
 
 
 def test_load_csv_basic(tmp_path):
@@ -259,7 +259,7 @@ def test_standardize_two_points():
     std = standardize(ds)
     assert std.mean[0] == pytest.approx(1.0)
     assert std.covariance[0, 0] == pytest.approx(1.0)
-    assert np.allclose(std.z[:, 0], [-1.0, 1.0])
+    assert np.allclose(whiten_all(std)[:, 0], [-1.0, 1.0])
 
 
 def test_standardize_constant_rows_rank_deficient():
@@ -277,8 +277,9 @@ def test_standardize_hand_computed_2d():
     m = x.mean(axis=0)
     cov = (x - m).T @ (x - m) / 4.0
     assert np.allclose(std.covariance, cov, atol=1e-14)
-    assert np.abs(std.z.T @ std.z / 4.0 - np.eye(2)).max() < 1e-10
-    assert np.abs(std.z.mean(axis=0)).max() < 1e-8
+    z = whiten_all(std)
+    assert np.abs(z.T @ z / 4.0 - np.eye(2)).max() < 1e-10
+    assert np.abs(z.mean(axis=0)).max() < 1e-8
 
 
 @pytest.mark.parametrize("n", [64, 100, 8191, 8192, 8193, 16385, 40000])
@@ -288,7 +289,7 @@ def test_standardize_blocks_equal_the_one_shot_product(n, p):
     rng = np.random.default_rng(n * 64 + p)
     ds = Dataset(x=rng.standard_normal((n, p)) * 50.0 + rng.random(p), y=rng.random(n))
     std = standardize(ds)
-    assert np.array_equal(std.z, (ds.x - std.mean) @ std.whitener)
+    assert np.array_equal(whiten_all(std), (ds.x - std.mean) @ std.whitener)
 
 
 def test_prepared_data_path_holds_two_copies_of_the_covariates(tmp_path):
@@ -344,7 +345,7 @@ def test_prepared_fit_whitens_the_top_rows_of_the_full_whitening(monkeypatch, me
         return real(z, ks, second_order)
 
     monkeypatch.setattr(estimators, "_prefix_grams", spy)
-    z, order = standardize(ds).z, descending_order(ds.y)
+    z, order = whiten_all(standardize(ds)), descending_order(ds.y)
     prepared = PreparedFit(ds, method, 3)
     ks = [n] if method == "cuve" else [1, 2, 500, n // 2 + 1, n]
     for k in ks:
@@ -365,7 +366,7 @@ def test_whiten_rows_equals_the_full_whitening(rows):
     std = standardize(ds)
     got = std.whiten(np.array(rows, dtype=np.intp))
     assert got.shape == (len(rows), 3)
-    assert got.tobytes() == std.z[rows].tobytes()
+    assert got.tobytes() == whiten_all(std)[rows].tobytes()
 
 
 def _moment_sample(n, p):
@@ -529,6 +530,19 @@ def test_descending_order_equals_the_stable_sort(y):
 @settings(max_examples=100, deadline=None)
 def test_descending_order_equals_the_stable_sort_property(y):
     assert np.array_equal(descending_order(y), _stable_order(y))
+
+
+@given(arrays(np.float64, st.integers(0, 300), elements=st.integers(-4, 4).map(float)),
+       st.one_of(st.integers(0, 3), st.integers(0, 310)), st.sampled_from([1, 50, 301]))
+@example(y=np.array([0, -1, 2, 2, 0, 1, -2, 0, -2, -2, -1, -2, 2, -1, 2, -2, 1.0]), k=1, period=1)
+@settings(max_examples=200, deadline=None)
+def test_descending_order_top_k_equals_the_full_order(y, k, period):
+    # integer targets tie heavily; adding (i mod period) / period to row i
+    # leaves fewer ties at period 50 and none at 301, where the partial
+    # selection is kept.  In the example argpartition picks the second of
+    # the tied maxima, which only the check against the (k+1)-th catches.
+    y = y + np.arange(y.shape[0]) % period / period
+    assert np.array_equal(descending_order(y, k), descending_order(y)[:k])
 
 
 def test_dataset_rejects_nonfinite():

@@ -21,6 +21,7 @@ from oracles import (
     cume_matrix_oracle,
     cuve_matrix_oracle,
     prefix_gram_oracle,
+    whiten_all,
 )
 
 
@@ -259,7 +260,7 @@ def test_grid_matches_gram_oracle_when_second_order_sum_returns_to_zero():
     # first makes T rise and then return to 0, so late T_j are small
     rng = np.random.default_rng(6)
     ds = Dataset(x=rng.standard_normal((3 * _BLOCK, 3)), y=np.zeros(3 * _BLOCK))
-    z = standardize(ds).z
+    z = whiten_all(standardize(ds))
     order = np.argsort(-np.einsum("ij,ij->i", z, z))
     n = z.shape[0]
     assert np.abs(z.T @ z - n * np.eye(3)).max() < 1e-9 * n
@@ -463,7 +464,7 @@ def test_fit_grid_matches_per_k_fits_and_integral_oracle(method):
     from tirex.estimators import _BLOCK, PreparedFit
 
     ds = small_dataset(4, n=_BLOCK + 40)
-    z, order = standardize(ds).z, descending_order(ds.y)
+    z, order = whiten_all(standardize(ds)), descending_order(ds.y)
     oracle = integral_oracle_tirex1 if method == "tirex1" else integral_oracle_tirex2
     prepared = PreparedFit(ds, method, d=2)
     for grid in ([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, ds.n],
@@ -493,7 +494,7 @@ def test_fit_transform_matches_whitened_projection():
     ds = small_dataset(9)
     f = fit(ds, "tirex1", k=12, d=1)
     std = standardize(ds)
-    want = std.z @ f.basis_whitened
+    want = whiten_all(std) @ f.basis_whitened
     assert np.allclose(f.transform(ds.x), want, atol=1e-12)
 
 

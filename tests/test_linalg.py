@@ -219,3 +219,12 @@ def test_eigen_tie_break_is_permutation_invariant():
     # lexicographically larger sign-normalized vector first among ties
     assert e.eigenvectors[0, 0] == pytest.approx(1.0)
     assert e.eigenvectors[1, 1] == pytest.approx(1.0)
+
+
+def test_symmetrize_keeps_a_finite_matrix_finite():
+    # (M + M^T) / 2 overflowed near the largest float, as `fit --ridge 1e308`
+    # showed; the halves are summed instead, with the same bits elsewhere
+    big = np.array([[1e308, 2.0], [2.0, 1.7976931348623157e308]])
+    assert np.array_equal(symmetrize(big), big)
+    m = np.random.default_rng(5).standard_normal((6, 6)) * 1e3
+    assert symmetrize(m).tobytes() == ((m + m.T) * 0.5).tobytes()

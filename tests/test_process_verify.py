@@ -14,6 +14,7 @@ from tirex.process_verify import (
     IndependentNormalModel,
     ProcessCheckConfig,
     ProcessCheckReport,
+    _grid_rows,
     _process_values,
     _replication_workers,
     covariance_check,
@@ -58,8 +59,8 @@ def test_process_values_match_direct_definition():
     y = rng.standard_normal(40)
     k = 10
     grid = [0.3, 0.7, 1.0]
-    vals = _process_values(z, y, k, grid, order=1)
-    vals2 = _process_values(z, y, k, grid, order=2)
+    vals = _process_values(z, y, k, _grid_rows(k, grid), order=1)
+    vals2 = _process_values(z, y, k, _grid_rows(k, grid), order=2)
     from tirex.data import descending_order
     from oracles import b_process, c_process
 
@@ -78,8 +79,9 @@ def test_rank_equivalence_bitwise():
     gen = IndependentNormalModel(p=3)
     z, y = gen.sample(500, rng)
     u = norm.cdf(-y)  # cdf of the negated target, strictly increasing in -y
-    a = _process_values(z, y, 60, [0.1, 0.5, 1.0], order=1)
-    b = _process_values(z, -u, 60, [0.1, 0.5, 1.0], order=1)
+    grid_rows = _grid_rows(60, [0.1, 0.5, 1.0])
+    a = _process_values(z, y, 60, grid_rows, order=1)
+    b = _process_values(z, -u, 60, grid_rows, order=1)
     assert np.array_equal(a, b)
 
 
