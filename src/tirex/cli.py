@@ -18,6 +18,7 @@ non-convergence).
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -137,6 +138,39 @@ def _check_output(path, what):
         raise InvalidInputError(f"{what}: no directory {str(path.parent)!r}")
 
 
+def _sidecar_path(out):
+    """The JSON sidecar ``simulate`` writes beside its CSV ``out``."""
+    return Path(out).with_suffix(".json")
+
+
+def _check_paths(args):
+    """Refuse, before the run, an output ``_check_output`` refuses, and two
+    flags that name the same file, where one write would replace an input
+    or another output."""
+    named = []
+    for flag in ("--out", "--json-out", "--basis-out", "--projector-out"):
+        path = getattr(args, flag[2:].replace("-", "_"), None)
+        if path is not None:
+            what = f"{flag} {path!r}"
+            _check_output(path, what)
+            named.append((what, path))
+    if args.handler is _cmd_simulate:
+        sidecar = _sidecar_path(args.out)
+        what = f"the JSON sidecar {str(sidecar)!r} of --out"
+        _check_output(sidecar, what)
+        named.append((what, sidecar))
+    for flag, dest in (("--in", "infile"), ("--spec", "spec"), ("--config", "config")):
+        path = getattr(args, dest, None)
+        if path is not None:
+            named.append((f"{flag} {path!r}", path))
+    seen = {}
+    for what, path in named:
+        key = os.path.realpath(path)
+        if key in seen:
+            raise InvalidInputError(f"{seen[key]} and {what} name the same file")
+        seen[key] = what
+
+
 def _require(args, *names):
     for name in names:
         if getattr(args, name, None) is None:
@@ -195,15 +229,6 @@ def _resolve_spec(args):
 
 
 def _cmd_simulate(args):
-    sidecar_path = Path(args.out).with_suffix(".json")  # --out names a file
-    _check_output(sidecar_path, f"the JSON sidecar {str(sidecar_path)!r} of --out")
-    # refuse before writing anything: the sidecar must not replace an input
-    for flag in ("out", "spec", "config"):
-        path = getattr(args, flag)
-        if path is not None and Path(path).resolve() == sidecar_path.resolve():
-            raise InvalidInputError(
-                f"the JSON sidecar {str(sidecar_path)!r} of --out would overwrite --{flag}"
-            )
     spec, n = _resolve_spec(args)
     ds = sample(spec, n, args.seed, stream=args.stream)
     write_csv(ds, args.out)
@@ -214,7 +239,7 @@ def _cmd_simulate(args):
         "stream": args.stream,
         "spec": spec.to_dict(),
     }
-    _dump_json(sidecar, sidecar_path)
+    _dump_json(sidecar, _sidecar_path(args.out))
     return 0
 
 
@@ -439,10 +464,7 @@ def run(argv):
     try:
         parser, subparsers = build_parser()
         args = parser.parse_args(_with_config(list(argv), subparsers))
-        for flag in ("--out", "--json-out", "--basis-out", "--projector-out"):
-            path = getattr(args, flag[2:].replace("-", "_"), None)
-            if path is not None:  # checked before any work
-                _check_output(path, f"{flag} {path!r}")
+        _check_paths(args)
         return args.handler(args)
     except SystemExit:  # --help and --version, after printing
         return 0

@@ -7,8 +7,9 @@ order, so any strictly increasing transform of y leaves results bit-identical.
 Work over all n rows runs in row blocks (``row_blocks``): ceil(n /
 WHITEN_BLOCK_ROWS) blocks of equal size within one row.  The covariance
 sums one block Gram per block, whitening multiplies one block at a time,
-and ``load_csv`` compacts the covariates into the parsed table's buffer one
-block at a time, so no step holds a second n x p array.
+``load_csv`` compacts the covariates into the parsed table's buffer one
+block at a time, and ``write_csv`` writes one block of lines at a time, so
+no step holds a second n x p array.
 """
 
 import csv
@@ -249,13 +250,16 @@ def write_csv(ds, path):
 
     The header goes through ``csv.writer`` for its quoting; a number's
     ``repr`` never needs quoting, so the body is joined directly, with
-    csv's ``\\r\\n`` line ends.
+    csv's ``\\r\\n`` line ends, one ``row_blocks`` block of rows at a
+    time.
     """
     names = ds.names if ds.names is not None else [f"x{j + 1}" for j in range(ds.p)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(list(names) + ["y"])
-        body = np.column_stack([ds.x, ds.y]).tolist()
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in body)
+        for lo, hi in row_blocks(ds.n):
+            block = np.column_stack([ds.x[lo:hi], ds.y[lo:hi]]).tolist()
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in block)
+            del block  # else it lives on beside the next block
 
 
 def _csv_cell(v):
@@ -279,8 +283,8 @@ def csv_text(rows):
 
 _TOO_LARGE = "covariates too large: their second moment overflows"
 
-#: Most rows in one block of the covariance, of whitening and of the CSV
-#: compaction (see ``row_blocks``).
+#: Most rows in one block of the covariance, of whitening, of the CSV
+#: compaction, of sampling and of CSV writing (see ``row_blocks``).
 WHITEN_BLOCK_ROWS = 8192
 
 

@@ -199,6 +199,41 @@ def _replication_workers(n_reps):
     return min(n_reps, cpus)
 
 
+def _covariance_entries(centered, grid, limit_cov):
+    """The covariance gate's entries, for u-pairs s <= t and then row a and
+    column b, from the centered replications (reps x u-grid x q).
+
+    The cross products of one (s, t, a) are a (reps x q) array, reduced by
+    ``mean`` and ``std`` over the replications: per entry the same
+    sequential sums as over the whole (reps x q x q) product array, so the
+    bits do not depend on which entries share a reduction.
+    """
+    n_reps, n_u, q = centered.shape
+    root_reps = np.sqrt(n_reps)
+    entries = []
+    for s in range(n_u):
+        for t in range(s, n_u):
+            theory = min(grid[s], grid[t]) * limit_cov
+            for a in range(q):
+                prods = centered[:, s, a, None] * centered[:, t, :]
+                emp = prods.mean(axis=0)
+                se = prods.std(axis=0, ddof=1) / root_reps
+                dev = np.abs(emp - theory[a])
+                ok = dev <= 4.0 * se + 1e-12
+                for b in range(q):
+                    entries.append(
+                        CovCheckEntry(
+                            u_s=grid[s], u_t=grid[t], row=a, col=b,
+                            empirical=float(emp[b]),
+                            theoretical=float(theory[a, b]),
+                            deviation=float(dev[b]),
+                            se=float(se[b]),
+                            ok=bool(ok[b]),
+                        )
+                    )
+    return entries
+
+
 def covariance_check(cfg):
     """Simulate the scaled process and gate mean and covariance entrywise.
 
@@ -206,9 +241,12 @@ def covariance_check(cfg):
     nu = 0, so the replications are sqrt(k) * D_hat_n and their empirical
     cross-covariances over the u-grid are compared to (u_s ^ u_t) Xi; the
     per-entry standard error is estimated from the spread of the centered
-    cross products across replications.  Worker i of w runs replications
-    i, i + w, i + 2w, ...; the draws and the arithmetic release the GIL for
-    most of each replication.
+    cross products across replications (``_covariance_entries``).  Worker i
+    of w runs replications i, i + w, i + 2w, ...; the draws and the
+    arithmetic release the GIL for most of each replication.  Beside the
+    (reps x u-grid x q) replications and the report, the gate holds one
+    (reps x q) array of cross products at a time, and the replications are
+    centered in place.
     """
     # imported here, so that the other subcommands do not pay for it
     from concurrent.futures import ThreadPoolExecutor
@@ -240,28 +278,8 @@ def covariance_check(cfg):
             mean_entries.append(MeanCheckEntry(u, a, float(means[i, a]),
                                                float(mean_se[i, a]), bool(ok)))
 
-    centered = devs - means
-    cov_entries = []
-    for s in range(n_u):
-        for t in range(s, n_u):
-            prods = np.einsum("ra,rb->rab", centered[:, s, :], centered[:, t, :])
-            emp = prods.mean(axis=0)
-            se = prods.std(axis=0, ddof=1) / np.sqrt(cfg.n_reps)
-            theory = min(grid[s], grid[t]) * limit_cov
-            dev = np.abs(emp - theory)
-            ok = dev <= 4.0 * se + 1e-12
-            for a in range(q):
-                for b in range(q):
-                    cov_entries.append(
-                        CovCheckEntry(
-                            u_s=grid[s], u_t=grid[t], row=a, col=b,
-                            empirical=float(emp[a, b]),
-                            theoretical=float(theory[a, b]),
-                            deviation=float(dev[a, b]),
-                            se=float(se[a, b]),
-                            ok=bool(ok[a, b]),
-                        )
-                    )
+    devs -= means  # centered in place: nothing reads the raw values again
+    cov_entries = _covariance_entries(devs, grid, limit_cov)
     summary = {
         "n": cfg.n, "k": cfg.k, "n_reps": cfg.n_reps,
         "u_grid": grid, "order": cfg.order, "seed": cfg.seed,

@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from . import rng as rngmod
-from .data import Dataset
+from .data import Dataset, row_blocks
 from .errors import InvalidInputError, check_size
 
 _QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-10, limit=200)
@@ -242,6 +242,16 @@ def _categorical(rng, weights, n):
     return np.minimum(idx, len(weights) - 1)
 
 
+def _picked_uniforms(rng, idx, width):
+    """Entry ``idx[i]`` of row i of an (n, width) uniform draw, the draw
+    made one ``row_blocks`` block at a time."""
+    out = np.empty(idx.shape[0])
+    for lo, hi in row_blocks(idx.shape[0]):
+        block = rng.random((hi - lo, width))
+        out[lo:hi] = np.take_along_axis(block, idx[lo:hi, None], axis=1)[:, 0]
+    return out
+
+
 def sample(spec, n, seed, stream=0):
     """Draw n rows from the mixture model, deterministically for (seed, stream).
 
@@ -249,9 +259,12 @@ def sample(spec, n, seed, stream=0):
     indices, the exponential and Pareto noise matrices (inverse-cdf from
     uniforms, so the stream is stable across library versions), then V and W.
     Replication r of an experiment passes stream=r, making replications
-    order-independent.  The uniform noise matrices are drawn in full, which
-    keeps the stream, but transformed only at the one entry per row that y
-    reads.
+    order-independent.  The noise matrices, V and W are drawn one
+    ``row_blocks`` block at a time; a generator hands out its uniforms in
+    row-major order, so consecutive blocks draw exactly the numbers of one
+    full draw.  Of a noise block only the entry per row that y reads is
+    kept, and V and W go straight into the covariate matrix, which is the
+    only n x p array held.
     """
     if n < 1:
         raise InvalidInputError("n must be >= 1")
@@ -260,14 +273,16 @@ def sample(spec, n, seed, stream=0):
     b = rng.random(n) < spec.theta
     idx1 = _categorical(rng, spec.pi1, n)
     idx2 = _categorical(rng, spec.pi2, n)
+    eps = -np.log1p(-_picked_uniforms(rng, idx1, m)) / spec.alpha1
+    zeta = (1.0 - _picked_uniforms(rng, idx2, spec.d)) ** (-1.0 / spec.alpha2)
+    x = np.empty((n, spec.p))
+    for cols, width in ((slice(None, m), m), (slice(m, None), spec.d)):
+        for lo, hi in row_blocks(n):
+            x[lo:hi, cols] = spec.covariate_law.sample(rng, (hi - lo, width))
     rows = np.arange(n)
-    eps = -np.log1p(-rng.random((n, m))[rows, idx1]) / spec.alpha1
-    zeta = (1.0 - rng.random((n, spec.d))[rows, idx2]) ** (-1.0 / spec.alpha2)
-    v = spec.covariate_law.sample(rng, (n, m))
-    w = spec.covariate_law.sample(rng, (n, spec.d))
-    y = np.where(b, v[rows, idx1] * eps, w[rows, idx2] * zeta)
+    y = np.where(b, x[rows, idx1] * eps, x[rows, m + idx2] * zeta)
     names = [f"v{i + 1}" for i in range(m)] + [f"w{j + 1}" for j in range(spec.d)]
-    return Dataset(x=np.hstack([v, w]), y=y, names=names)
+    return Dataset(x=x, y=y, names=names)
 
 
 def true_projector(spec):

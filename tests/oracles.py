@@ -15,6 +15,7 @@ from tirex.data import Dataset, ceil_index
 from tirex.errors import InvalidInputError
 from tirex.estimators import tail_increments
 from tirex.linalg import symmetrize
+from tirex.process_verify import CovCheckEntry
 from tirex.synthetic import _categorical
 
 
@@ -169,3 +170,26 @@ def one_shot_moments(x, centered=True):
 def whiten_all(std):
     """Every row of a ``StandardizedDataset`` whitened, in row order."""
     return std.whiten(np.arange(std.x.shape[0]))
+
+
+def covariance_entries_oracle(centered, grid, limit_cov):
+    """``process_verify._covariance_entries`` as one (reps x q x q) product
+    array per u-pair, as the gate was computed before it went row by row:
+    the bit-for-bit reference."""
+    n_reps, n_u, q = centered.shape
+    entries = []
+    for s in range(n_u):
+        for t in range(s, n_u):
+            prods = np.einsum("ra,rb->rab", centered[:, s, :], centered[:, t, :])
+            emp = prods.mean(axis=0)
+            se = prods.std(axis=0, ddof=1) / np.sqrt(n_reps)
+            theory = min(grid[s], grid[t]) * limit_cov
+            dev = np.abs(emp - theory)
+            ok = dev <= 4.0 * se + 1e-12
+            for a in range(q):
+                for b in range(q):
+                    entries.append(CovCheckEntry(
+                        u_s=grid[s], u_t=grid[t], row=a, col=b,
+                        empirical=float(emp[a, b]), theoretical=float(theory[a, b]),
+                        deviation=float(dev[a, b]), se=float(se[a, b]), ok=bool(ok[a, b])))
+    return entries

@@ -836,6 +836,29 @@ def test_unwritable_output_is_refused_before_the_run(tmp_path, monkeypatch, caps
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("argv, message", [
+    (SWEEP_A + ["--k-grid", "40", "--out", "o.csv", "--json-out", "o.csv"],
+     "--out 'o.csv' and --json-out 'o.csv'"),
+    (["fit", "--in", "a.csv", "--method", "pca", "--d", "1", "--out", "a.csv"],
+     "--out 'a.csv' and --in 'a.csv'"),
+    (["fit", "--in", "a.csv", "--method", "pca", "--d", "1", "--out", "f.json",
+      "--basis-out", "b.csv", "--projector-out", "sub/../b.csv"],
+     "--basis-out 'b.csv' and --projector-out 'sub/../b.csv'"),
+])
+def test_two_flags_naming_one_file_are_refused_before_the_run(tmp_path, monkeypatch, capsys,
+                                                              argv, message):
+    # the later write used to replace the earlier one, or the input, and
+    # the run exited 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.csv").write_text("x1,x2,y\n" + "".join(f"{i % 7},{i % 5},{i}\n"
+                                                          for i in range(30)))
+    (tmp_path / "sub").mkdir()
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"tirex: error: {message} name the same file\n"
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+
 def test_classify_default_k_grid(tmp_path):
     out = tmp_path / "c.json"
     assert run(["classify", "--model", "A", "--n", "1000", "--methods", "tirex1,pca",

@@ -206,15 +206,18 @@ def test_load_csv_compacts_a_pipe_input(tmp_path):
     assert np.load(out).tobytes() == np.delete(table, 1, axis=1).tobytes()
 
 
-def test_write_csv_body_matches_the_row_writer(tmp_path):
+def test_write_csv_body_matches_the_row_writer(tmp_path, monkeypatch):
     rng = np.random.default_rng(3)
     ds = Dataset(x=rng.standard_normal((7, 3)) * 10.0 ** rng.integers(-300, 300, (7, 3)),
                  y=np.array([0.0, -0.0, 1e-320, 5e-324, 1.7e308, -2.5, 1 / 3]),
                  names=["a,b", 'say "hi"', "plain"])  # the first two need quoting
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(ds, a)
     write_csv_oracle(ds, b)
-    assert a.read_bytes() == b.read_bytes()
+    # the body is written one row block at a time; 1 and 3 cross blocks
+    for block_rows in (1, 3, 7, data.WHITEN_BLOCK_ROWS):
+        monkeypatch.setattr(data, "WHITEN_BLOCK_ROWS", block_rows)
+        write_csv(ds, a)
+        assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes().startswith(b'"a,b","say ""hi""",plain,y\r\n')
 
 

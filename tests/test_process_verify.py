@@ -1,10 +1,14 @@
 import json
 import sys
 import threading
-from dataclasses import dataclass
+import tracemalloc
+from dataclasses import astuple, dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import norm
 
 from tirex import process_verify
@@ -14,12 +18,15 @@ from tirex.process_verify import (
     IndependentNormalModel,
     ProcessCheckConfig,
     ProcessCheckReport,
+    _covariance_entries,
     _grid_rows,
     _process_values,
     _replication_workers,
     covariance_check,
 )
 from tirex import rng as rngmod
+
+from oracles import covariance_entries_oracle
 
 
 def test_config_validation():
@@ -220,3 +227,45 @@ def test_worst_deviation_in_se_units():
     payload = off.to_json_dict()
     assert payload["max_cov_deviation_se"] is None
     json.dumps(payload, allow_nan=False)
+
+
+@st.composite
+def _centered_replications(draw):
+    reps, n_u, q = draw(st.integers(2, 300)), draw(st.integers(1, 4)), draw(st.integers(1, 16))
+    devs = draw(arrays(np.float64, (reps, n_u, q),
+                       elements=st.floats(-1e6, 1e6, allow_subnormal=False)))
+    devs -= devs.mean(axis=0)
+    grid = sorted(draw(st.lists(st.floats(1e-3, 1.0), min_size=n_u, max_size=n_u)))
+    limit_cov = draw(arrays(np.float64, (q, q), elements=st.floats(-10.0, 10.0)))
+    return devs, grid, limit_cov
+
+
+@given(_centered_replications())
+@settings(max_examples=100, deadline=None)
+def test_covariance_entries_equal_the_product_array_oracle(case):
+    # one (reps x q) row of cross products at a time gives the bits of the
+    # whole (reps x q x q) product array
+    centered, grid, limit_cov = case
+    got = _covariance_entries(centered, grid, limit_cov)
+    want = covariance_entries_oracle(centered, grid, limit_cov)
+    assert len(got) == len(want)
+    assert (np.array([astuple(e) for e in got]).tobytes()
+            == np.array([astuple(e) for e in want]).tobytes())
+
+
+def test_covariance_check_holds_no_product_array(monkeypatch):
+    # the benchmark's verify-process-2 check on one worker: the replications
+    # (0.72 MB), the report and one (reps x q) row of products, 1.7 MB; the
+    # (reps x q x q) product array and a centered copy of the replications
+    # put the peak at 4.5 MB
+    monkeypatch.setattr(process_verify, "_replication_workers", lambda n_reps: 1)
+    covariance_check(_small_config())  # leave the first call's imports out of the peak
+    cfg = ProcessCheckConfig(generator=IndependentNormalModel(p=3), n=5000, k=500,
+                             n_reps=2000, u_grid=(0.1, 0.3, 0.5, 0.7, 1.0), order=2, seed=1)
+    tracemalloc.start()
+    try:
+        covariance_check(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tirex import data
 from tirex.errors import InvalidInputError
 from tirex.synthetic import (
     BernoulliLaw,
@@ -304,11 +306,32 @@ def _mixture_case(draw):
 
 
 @given(_mixture_case())
+@example((model_preset("B")[0], 20000, 2**32 - 1, 3))  # three blocks at the default size
 @settings(max_examples=150, deadline=None)
 def test_sample_equals_the_full_matrix_oracle(case):
-    # sample transforms only the noise entries y reads; the values must not move
+    # sample draws in row blocks and transforms only the noise entries y
+    # reads; the values must not move, whichever blocks the rows fall in
     spec, n, seed, stream = case
-    got, want = sample(spec, n, seed, stream), sample_oracle(spec, n, seed, stream)
-    assert np.array_equal(got.x, want.x)
-    assert np.array_equal(got.y, want.y)
-    assert got.names == want.names
+    want = sample_oracle(spec, n, seed, stream)
+    for block_rows in (1, 3, 7, data.WHITEN_BLOCK_ROWS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data, "WHITEN_BLOCK_ROWS", block_rows)
+            got = sample(spec, n, seed, stream)
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.y.tobytes() == want.y.tobytes()
+        assert got.names == want.names
+
+
+def test_sample_holds_one_copy_of_the_covariates():
+    # x is filled in place one block at a time, and of the noise only the
+    # entries y reads are kept; V, W and their hstack held at once, with
+    # the full noise matrices, peaked at 2.33 times x
+    spec, _ = model_preset("B")
+    sample(spec, 100, 1)  # leave first-call allocations out of the peak
+    tracemalloc.start()
+    try:
+        ds = sample(spec, 20000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * ds.x.nbytes
