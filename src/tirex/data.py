@@ -134,10 +134,11 @@ def descending_order(y, k=None):
 def load_csv(path, target="y"):
     """Load a dataset from a CSV file with a header row.
 
-    The column named ``target`` (default ``y``) becomes the response; every
-    other column is a covariate, in file order.  Parse failures and
-    non-finite cells raise InvalidInputError with 1-based (line, column)
-    location, the header being line 1.
+    The column named ``target`` (default ``y``), which the header must name
+    exactly once, becomes the response; every other column is a covariate,
+    in file order.  Parse failures and non-finite cells raise
+    InvalidInputError with 1-based (line, column) location, the header
+    being line 1.
 
     numpy's C reader parses the body of a regular file when it can: plain
     unquoted decimals, one per header column on every line, all finite.
@@ -160,6 +161,9 @@ def load_csv(path, target="y"):
             header = [h.strip() for h in header]
             if target not in header:
                 raise InvalidInputError(f"{path}: no column named {target!r} in header")
+            if header.count(target) > 1:
+                raise InvalidInputError(f"{path}: column {target!r} appears "
+                                        f"{header.count(target)} times in the header")
             y_col = header.index(target)
             feat_cols = [j for j in range(len(header)) if j != y_col]
             if not feat_cols:

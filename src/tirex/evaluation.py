@@ -17,6 +17,7 @@ rates) and the AUC.
 
 from dataclasses import asdict, dataclass, fields
 from functools import partial
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -212,7 +213,8 @@ class SweepReport:
 
     def to_csv_text(self):
         columns = ("k", "bias_sq", "variance", "mse")
-        return csv_text([columns] + [[getattr(cell, c) for c in columns] for cell in self.cells])
+        rows = ([getattr(cell, c) for c in columns] for cell in self.cells)
+        return csv_text(chain([columns], rows))
 
     def to_json_dict(self):
         return asdict(self)
@@ -407,7 +409,8 @@ class ClassificationReport:
 
     def to_csv_text(self):
         columns = [f.name for f in fields(MethodScore)]
-        return csv_text([columns] + [[getattr(s, c) for c in columns] for s in self.scores])
+        rows = ([getattr(s, c) for c in columns] for s in self.scores)
+        return csv_text(chain([columns], rows))
 
     def to_json_dict(self):
         return asdict(self)

@@ -7,7 +7,8 @@ the first and second conditional moments of h given the target's rank falling
 in the extreme fraction.  D_hat_n sums the estimators' own
 ``tail_increments``.  This module simulates replications of the process
 on a u-grid and compares empirical means and cross-covariances entrywise
-against the limit, gating each entry at four Monte-Carlo standard errors.
+against the limit, gating each entry at four Monte-Carlo standard errors;
+``_gate`` is the one place that rule is computed, for both.
 Four SEs per entry without multiplicity correction makes this a diagnostic
 gate, not a formal hypothesis test; with a few hundred entries occasional
 borderline excursions are expected under a wrong implementation much more
@@ -27,6 +28,7 @@ output is identical for any thread count.
 
 import os
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -149,7 +151,8 @@ class ProcessCheckReport:
 
     def to_csv_text(self):
         columns = [f.name for f in fields(CovCheckEntry)]
-        return csv_text([columns] + [[getattr(e, c) for c in columns] for e in self.cov_entries])
+        rows = ([getattr(e, c) for c in columns] for e in self.cov_entries)
+        return csv_text(chain([columns], rows))
 
     def to_json_dict(self):
         worst = self.max_cov_deviation_in_se()
@@ -199,38 +202,48 @@ def _replication_workers(n_reps):
     return min(n_reps, cpus)
 
 
+def _gate(samples, theory):
+    """The verdict rule of the process check: the mean of ``samples`` over
+    the replications (axis 0), its absolute deviation from ``theory``, the
+    standard error (the sample standard deviation, divisor reps - 1, over
+    sqrt(reps)), and whether the deviation is at most 4 SE + 1e-12 (the
+    1e-12 passes an exact match of zero spread)."""
+    mean = samples.mean(axis=0)
+    dev = np.abs(mean - theory)
+    se = samples.std(axis=0, ddof=1) / np.sqrt(samples.shape[0])
+    return mean, dev, se, dev <= 4.0 * se + 1e-12
+
+
+def _mean_entries(replications, grid):
+    """The mean gate's entries, for u and then component a, each against
+    the limit 0, and the means of the replications (reps x u-grid x q)."""
+    means, _, se, ok = _gate(replications, 0.0)
+    entries = [MeanCheckEntry(u, a, float(means[i, a]), float(se[i, a]), bool(ok[i, a]))
+               for i, u in enumerate(grid) for a in range(means.shape[1])]
+    return entries, means
+
+
 def _covariance_entries(centered, grid, limit_cov):
     """The covariance gate's entries, for u-pairs s <= t and then row a and
     column b, from the centered replications (reps x u-grid x q).
 
-    The cross products of one (s, t, a) are a (reps x q) array, reduced by
-    ``mean`` and ``std`` over the replications: per entry the same
-    sequential sums as over the whole (reps x q x q) product array, so the
-    bits do not depend on which entries share a reduction.
+    The cross products of one (s, t, a) are a (reps x q) array, gated by
+    ``_gate``: per entry the same sequential sums over the replications as
+    over the whole (reps x q x q) product array, so the bits do not depend
+    on which entries share a reduction.
     """
-    n_reps, n_u, q = centered.shape
-    root_reps = np.sqrt(n_reps)
+    n_u = centered.shape[1]
     entries = []
     for s in range(n_u):
         for t in range(s, n_u):
             theory = min(grid[s], grid[t]) * limit_cov
-            for a in range(q):
-                prods = centered[:, s, a, None] * centered[:, t, :]
-                emp = prods.mean(axis=0)
-                se = prods.std(axis=0, ddof=1) / root_reps
-                dev = np.abs(emp - theory[a])
-                ok = dev <= 4.0 * se + 1e-12
-                for b in range(q):
-                    entries.append(
-                        CovCheckEntry(
-                            u_s=grid[s], u_t=grid[t], row=a, col=b,
-                            empirical=float(emp[b]),
-                            theoretical=float(theory[a, b]),
-                            deviation=float(dev[b]),
-                            se=float(se[b]),
-                            ok=bool(ok[b]),
-                        )
-                    )
+            for a, row_theory in enumerate(theory):
+                emp, dev, se, ok = _gate(centered[:, s, a, None] * centered[:, t, :],
+                                         row_theory)
+                entries += [CovCheckEntry(grid[s], grid[t], a, b, float(emp[b]),
+                                          float(row_theory[b]), float(dev[b]),
+                                          float(se[b]), bool(ok[b]))
+                            for b in range(len(row_theory))]
     return entries
 
 
@@ -241,24 +254,23 @@ def covariance_check(cfg):
     nu = 0, so the replications are sqrt(k) * D_hat_n and their empirical
     cross-covariances over the u-grid are compared to (u_s ^ u_t) Xi; the
     per-entry standard error is estimated from the spread of the centered
-    cross products across replications (``_covariance_entries``).  Worker i
-    of w runs replications i, i + w, i + 2w, ...; the draws and the
-    arithmetic release the GIL for most of each replication.  Beside the
-    (reps x u-grid x q) replications and the report, the gate holds one
-    (reps x q) array of cross products at a time, and the replications are
-    centered in place.
+    cross products across replications (``_covariance_entries``).  Both
+    verdicts, the means against 0 and the covariances against the limit,
+    come from the one rule in ``_gate``.  Worker i of w runs replications
+    i, i + w, i + 2w, ...; the draws and the arithmetic release the GIL for
+    most of each replication.  Beside the (reps x u-grid x q) replications
+    and the report, the gate holds one (reps x q) array of cross products
+    at a time, and the replications are centered in place.
     """
     # imported here, so that the other subcommands do not pay for it
     from concurrent.futures import ThreadPoolExecutor
 
     grid = list(cfg.u_grid)
-    n_u = len(grid)
     limit_cov = cfg.generator.xi(cfg.order)
-    q = limit_cov.shape[0]
     scale = np.sqrt(cfg.k)
 
     grid_rows = _grid_rows(cfg.k, grid)
-    devs = np.empty((cfg.n_reps, n_u, q))
+    devs = np.empty((cfg.n_reps, len(grid), limit_cov.shape[0]))
     workers = _replication_workers(cfg.n_reps)
 
     def run_share(first):
@@ -269,22 +281,9 @@ def covariance_check(cfg):
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(run_share, range(workers)))
 
-    mean_entries = []
-    means = devs.mean(axis=0)
-    mean_se = devs.std(axis=0, ddof=1) / np.sqrt(cfg.n_reps)
-    for i, u in enumerate(grid):
-        for a in range(q):
-            ok = abs(means[i, a]) <= 4.0 * mean_se[i, a] + 1e-12
-            mean_entries.append(MeanCheckEntry(u, a, float(means[i, a]),
-                                               float(mean_se[i, a]), bool(ok)))
-
+    mean_entries, means = _mean_entries(devs, grid)
     devs -= means  # centered in place: nothing reads the raw values again
     cov_entries = _covariance_entries(devs, grid, limit_cov)
-    summary = {
-        "n": cfg.n, "k": cfg.k, "n_reps": cfg.n_reps,
-        "u_grid": grid, "order": cfg.order, "seed": cfg.seed,
-        "p": cfg.generator.p,
-    }
-    return ProcessCheckReport(
-        config_summary=summary, mean_entries=mean_entries, cov_entries=cov_entries
-    )
+    summary = {"n": cfg.n, "k": cfg.k, "n_reps": cfg.n_reps, "u_grid": grid,
+               "order": cfg.order, "seed": cfg.seed, "p": cfg.generator.p}
+    return ProcessCheckReport(summary, mean_entries, cov_entries)

@@ -15,7 +15,7 @@ from tirex.data import Dataset, ceil_index
 from tirex.errors import InvalidInputError
 from tirex.estimators import tail_increments
 from tirex.linalg import symmetrize
-from tirex.process_verify import CovCheckEntry
+from tirex.process_verify import CovCheckEntry, MeanCheckEntry
 from tirex.synthetic import _categorical
 
 
@@ -193,3 +193,19 @@ def covariance_entries_oracle(centered, grid, limit_cov):
                         empirical=float(emp[a, b]), theoretical=float(theory[a, b]),
                         deviation=float(dev[a, b]), se=float(se[a, b]), ok=bool(ok[a, b])))
     return entries
+
+
+def mean_entries_oracle(devs, grid):
+    """``process_verify._mean_entries`` as the mean gate was written inline
+    in ``covariance_check`` before the verdict rule had one home: the
+    bit-for-bit reference, failing entries included."""
+    n_reps, _, q = devs.shape
+    mean_entries = []
+    means = devs.mean(axis=0)
+    mean_se = devs.std(axis=0, ddof=1) / np.sqrt(n_reps)
+    for i, u in enumerate(grid):
+        for a in range(q):
+            ok = abs(means[i, a]) <= 4.0 * mean_se[i, a] + 1e-12
+            mean_entries.append(MeanCheckEntry(u, a, float(means[i, a]),
+                                               float(mean_se[i, a]), bool(ok)))
+    return mean_entries

@@ -601,6 +601,25 @@ def test_input_file_that_is_not_utf8_is_a_user_error(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit", "--method", "pca", "--d", "1"],
+    ["classify", "--methods", "pca", "--d", "1", "--quantile-level", "0.5",
+     "--folds", "2", "--seed", "1"],
+])
+@pytest.mark.parametrize("header, times", [("y,y,x", 2), ("x,y,y,y", 3)])
+def test_target_named_twice_in_the_header_is_a_user_error(tmp_path, capsys, argv, header,
+                                                          times):
+    # the first y used to become the target and the next a covariate named y
+    data, out = tmp_path / "dup.csv", tmp_path / "out.json"
+    width = len(header.split(","))
+    rows = [",".join(str((i * 7 + j * 3) % 11) for j in range(width)) for i in range(40)]
+    data.write_text("\n".join([header] + rows) + "\n")
+    assert run(argv[:1] + ["--in", str(data)] + argv[1:] + ["--out", str(out)]) == 1
+    assert (capsys.readouterr().err
+            == f"tirex: error: {data}: column 'y' appears {times} times in the header\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, config, flag", [
     (["--model", "B"], None, "model"),
     (["--spec", "spec.json"], None, "spec"),

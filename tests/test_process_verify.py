@@ -19,14 +19,16 @@ from tirex.process_verify import (
     ProcessCheckConfig,
     ProcessCheckReport,
     _covariance_entries,
+    _gate,
     _grid_rows,
+    _mean_entries,
     _process_values,
     _replication_workers,
     covariance_check,
 )
 from tirex import rng as rngmod
 
-from oracles import covariance_entries_oracle
+from oracles import covariance_entries_oracle, mean_entries_oracle
 
 
 def test_config_validation():
@@ -230,17 +232,55 @@ def test_worst_deviation_in_se_units():
 
 
 @st.composite
-def _centered_replications(draw):
+def _centered_replications(draw, center=True):
     reps, n_u, q = draw(st.integers(2, 300)), draw(st.integers(1, 4)), draw(st.integers(1, 16))
     devs = draw(arrays(np.float64, (reps, n_u, q),
                        elements=st.floats(-1e6, 1e6, allow_subnormal=False)))
-    devs -= devs.mean(axis=0)
+    if center:
+        devs -= devs.mean(axis=0)
     grid = sorted(draw(st.lists(st.floats(1e-3, 1.0), min_size=n_u, max_size=n_u)))
     limit_cov = draw(arrays(np.float64, (q, q), elements=st.floats(-10.0, 10.0)))
     return devs, grid, limit_cov
 
 
-@given(_centered_replications())
+def _bits(entries):
+    return np.array([astuple(e) for e in entries]).tobytes()
+
+
+def _mixed_verdicts_case(center):
+    """Replications whose mean and covariance gates each pass some entries
+    and fail others: component 0 is shifted far off its limit 0, component 1
+    to between 3 and 4 SE of it, and the limit covariance doubles the first
+    diagonal entry."""
+    devs = np.random.default_rng(5).standard_normal((300, 2, 3))
+    devs[:, :, 0] += 0.5
+    devs[:, :, 1] += 0.2
+    if center:
+        devs -= devs.mean(axis=0)
+    return devs, [0.5, 1.0], np.diag([2.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("center", [False, True])
+def test_gates_equal_their_oracles_on_mixed_verdicts(center):
+    replications, grid, limit_cov = _mixed_verdicts_case(center)
+    means = _mean_entries(replications, grid)[0]
+    covs = _covariance_entries(replications, grid, limit_cov)
+    assert _bits(means) == _bits(mean_entries_oracle(replications, grid))
+    assert _bits(covs) == _bits(covariance_entries_oracle(replications, grid, limit_cov))
+    assert {e.ok for e in covs} == {True, False}
+    assert {e.ok for e in means} == ({True} if center else {True, False})
+
+
+@given(_centered_replications(center=False))
+@settings(max_examples=100, deadline=None)
+def test_mean_entries_equal_the_inline_gate_oracle(case):
+    replications, grid, _ = case
+    entries, means = _mean_entries(replications, grid)
+    assert _bits(entries) == _bits(mean_entries_oracle(replications, grid))
+    assert means.tobytes() == replications.mean(axis=0).tobytes()
+
+
+@given(st.one_of(_centered_replications(), _centered_replications(center=False)))
 @settings(max_examples=100, deadline=None)
 def test_covariance_entries_equal_the_product_array_oracle(case):
     # one (reps x q) row of cross products at a time gives the bits of the
@@ -249,8 +289,30 @@ def test_covariance_entries_equal_the_product_array_oracle(case):
     got = _covariance_entries(centered, grid, limit_cov)
     want = covariance_entries_oracle(centered, grid, limit_cov)
     assert len(got) == len(want)
-    assert (np.array([astuple(e) for e in got]).tobytes()
-            == np.array([astuple(e) for e in want]).tobytes())
+    assert _bits(got) == _bits(want)
+
+
+def test_gate_passes_up_to_four_standard_errors():
+    # two replications 0 and 2: mean 1, SE std(ddof=1) / sqrt(2) = 1 exactly
+    samples = np.array([[0.0] * 4, [2.0] * 4])
+    mean, dev, se, ok = _gate(samples, np.array([1.0, -2.5, -3.0, 5.5]))
+    assert mean.tolist() == [1.0] * 4 and se.tolist() == [1.0] * 4
+    assert dev.tolist() == [0.0, 3.5, 4.0, 4.5]
+    assert ok.tolist() == [True, True, True, False]
+
+
+def test_gate_with_no_spread_passes_only_a_match():
+    # se == 0: an exact match passes, and so does a miss within the 1e-12
+    # slack (2**-42 ~ 2.3e-13); any larger miss fails
+    samples = np.full((4, 4), 2.0)
+    mean, dev, se, ok = _gate(samples, np.array([2.0, 2.0 + 2.0**-42, 2.0 + 1e-11, 2.5]))
+    assert se.tolist() == [0.0] * 4 and mean.tolist() == [2.0] * 4
+    assert ok.tolist() == [True, True, False, False]
+    # the mean gate's limit is 0: constant replications 0 pass, 0.5 fail
+    replications = np.zeros((4, 2, 1))
+    replications[:, 1] = 0.5
+    entries, _ = _mean_entries(replications, [0.5, 1.0])
+    assert [(e.mean, e.se, e.ok) for e in entries] == [(0.0, 0.0, True), (0.5, 0.0, False)]
 
 
 def test_covariance_check_holds_no_product_array(monkeypatch):

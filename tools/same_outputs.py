@@ -1,0 +1,145 @@
+"""Check that two source trees of tirex give the same bytes.
+
+Usage (from the repository root):
+
+    python3 tools/same_outputs.py SRC_A SRC_B
+
+SRC_A and SRC_B are directories that hold the ``tirex`` package, such as
+the ``src/`` of two checkouts.  Every case below runs under each tree in a
+fresh interpreter, in its own empty working directory, with BLAS and OpenMP
+on one thread.  The script then compares every file the case left behind,
+and the standard output, standard error and exit code of each step.  It
+prints one line per case, with the differences under it, and exits 0 when
+nothing differs and 1 otherwise.
+
+The cases are the four benchmark workloads of ``perfbench/run.py`` at seeds
+1 and 2, five ``verify-process`` runs (one with failing entries), and a
+``fit`` of a CSV whose header names the target twice.
+"""
+
+import argparse
+import importlib.util
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+RUN = "import sys; from tirex.cli import run; sys.exit(run(sys.argv[1:]))"
+
+VERIFY_ARGVS = [
+    ["--n", "5000", "--k", "500", "--reps", "2000", "--order", "2", "--seed", "1"],
+    ["--p", "1", "--order", "2", "--n", "3", "--k", "2"],
+    ["--p", "2", "--k", "299", "--u-grid", "0.01,1.0"],
+    ["--p", "4", "--order", "2", "--k", "20"],
+    ["--p", "5", "--order", "2", "--n", "400", "--k", "40", "--reps", "100", "--seed", "1"],
+]
+
+DUP_CSV = "y,y,x\n" + "".join(f"{(i * 7) % 11},{(i * 5) % 13},{(i * 3) % 17}\n"
+                              for i in range(30))
+
+
+def benchmark_cases():
+    """The workloads of ``perfbench/run.py``, their preparing step first."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    perfbench = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(ROOT / "perfbench"))  # run.py imports its neighbours
+    try:
+        spec.loader.exec_module(perfbench)
+    finally:
+        sys.path.pop(0)
+    cases = []
+    for name, workload in perfbench.WORKLOADS.items():
+        for seed in (1, 2):
+            steps = [workload[key] for key in ("prepare", "argv") if key in workload]
+            cases.append((f"{name} seed {seed}", {},
+                          [perfbench.substitute(step, seed) for step in steps]))
+    return cases
+
+
+def all_cases():
+    verify = [(f"verify-process {' '.join(argv)}", {},
+               [["verify-process"] + argv + ["--out", "v.csv", "--json-out", "v.json"]])
+              for argv in VERIFY_ARGVS]
+    dup = ("fit --in dup.csv", {"dup.csv": DUP_CSV},
+           [["fit", "--in", "dup.csv", "--method", "pca", "--d", "1", "--out", "o.json"]])
+    return benchmark_cases() + verify + [dup]
+
+
+def run_case(src, case):
+    """The files a case leaves in its working directory, by relative path,
+    and (exit code, stdout, stderr) of each of its steps."""
+    _, inputs, steps = case
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()),
+               **{var: "1" for var in THREAD_VARS})
+    with tempfile.TemporaryDirectory() as work:
+        for name, text in inputs.items():
+            Path(work, name).write_text(text, encoding="utf-8")
+        results = []
+        for argv in steps:
+            proc = subprocess.run([sys.executable, "-c", RUN] + argv, cwd=work, env=env,
+                                  capture_output=True)
+            results.append((proc.returncode, proc.stdout, proc.stderr))
+        files = {path.relative_to(work).as_posix(): path.read_bytes()
+                 for path in sorted(Path(work).rglob("*")) if path.is_file()}
+    return files, results
+
+
+def _first_change(a, b):
+    """Where two byte strings first differ, as a line number and both lines."""
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    for i, (la, lb) in enumerate(zip(lines_a, lines_b)):
+        if la != lb:
+            return f"line {i + 1}: {la[:80]!r} vs {lb[:80]!r}"
+    return f"{len(lines_a)} vs {len(lines_b)} lines"
+
+
+def differences(a, b):
+    """Every difference between two ``run_case`` results, one line each."""
+    (files_a, steps_a), (files_b, steps_b) = a, b
+    out = []
+    for name in sorted(files_a.keys() | files_b.keys()):
+        if name not in files_b:
+            out.append(f"{name}: only under A")
+        elif name not in files_a:
+            out.append(f"{name}: only under B")
+        elif files_a[name] != files_b[name]:
+            out.append(f"{name}: {_first_change(files_a[name], files_b[name])}")
+    for i, (step_a, step_b) in enumerate(zip(steps_a, steps_b), start=1):
+        if step_a[0] != step_b[0]:
+            out.append(f"step {i} exit code: {step_a[0]} vs {step_b[0]}")
+        for stream, got_a, got_b in (("stdout", step_a[1], step_b[1]),
+                                     ("stderr", step_a[2], step_b[2])):
+            if got_a != got_b:
+                out.append(f"step {i} {stream}: {_first_change(got_a, got_b)}")
+    return out
+
+
+def compare(src_a, src_b, cases):
+    """Each case's name with the differences between the two trees, one
+    case at a time."""
+    for case in cases:
+        yield case[0], differences(run_case(src_a, case), run_case(src_b, case))
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src_a", help="directory holding the tirex package (A)")
+    parser.add_argument("src_b", help="directory holding the tirex package (B)")
+    args = parser.parse_args(argv)
+    cases = all_cases()
+    differ = 0
+    for name, diffs in compare(args.src_a, args.src_b, cases):
+        print(f"{'DIFFERS' if diffs else 'same'}: {name}", flush=True)
+        for line in diffs:
+            print(f"    {line}")
+        differ += bool(diffs)
+    print(f"{differ} of {len(cases)} cases differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
