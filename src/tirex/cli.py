@@ -398,7 +398,7 @@ def build_parser():
     s.add_argument("--reps", type=_size, required=True)
     s.add_argument("--seed", type=int, required=True)
     s.add_argument("--jobs", type=int, default=1,
-                   help="parallel replication workers (default %(default)s)")
+                   help="at most this many replication threads (capped at the CPUs)")
     s.add_argument("--out", required=True, help="output CSV path (k,bias_sq,variance,mse)")
     s.add_argument("--json-out", help="optional JSON report path")
     s.set_defaults(handler=_cmd_sweep)

@@ -259,7 +259,7 @@ def sweep(spec, n, method, d, k_grid, reps, seed, jobs=1):
     Replication r draws its own sample (stream r of the seed), prepared once
     and shared across the whole k grid; numerical failures abort single
     (k, rep) cells and are counted (see ``sweep_cell``).  ``jobs`` must be
-    >= 1; above 1 it fans replications out to worker processes, and results
+    >= 1 and caps the replication threads of ``rng.replicate``; results
     reduce in replication order, so the output is independent of scheduling.
     """
     if reps < 2:
@@ -274,15 +274,8 @@ def sweep(spec, n, method, d, k_grid, reps, seed, jobs=1):
             raise InvalidInputError(f"k={k} outside [1, n={n}]")
     truth = true_projector(spec)
 
-    rep_projectors = partial(_rep_projectors, spec, n, method, d, k_grid, seed)
-    if jobs > 1:
-        # imported here: it loads multiprocessing, which only this branch needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, reps)) as pool:
-            per_rep = list(pool.map(rep_projectors, range(reps)))
-    else:
-        per_rep = list(map(rep_projectors, range(reps)))
+    per_rep = rngmod.replicate(partial(_rep_projectors, spec, n, method, d, k_grid, seed),
+                               reps, jobs)
     cells = [sweep_cell(k, [mats[pos] for mats in per_rep], truth)
              for pos, k in enumerate(k_grid)]
     return SweepReport(method=method, d=d, reps=reps, cells=cells)

@@ -20,13 +20,12 @@ the centered process is sqrt(k) * D_hat_n itself; Xi = I for the first-order
 process, and Xi is given by Wick pairings for the second-order one.  That
 isolates implementation error from model error.
 
-Replications run on a thread pool with one thread per CPU this process may
-use (``taskset -c 0 tirex verify-process ...`` pins the check to one core).
-Replication r draws from its own stream and writes its own row, so every
-output is identical for any thread count.
+Replications run on ``rng.replicate`` with one thread per CPU this process
+may use (``taskset -c 0 tirex verify-process ...`` pins the check to one
+core).  Replication r draws from its own stream and writes its own row, so
+every output is identical for any thread count.
 """
 
-import os
 from dataclasses import asdict, dataclass, fields
 from itertools import chain
 
@@ -192,16 +191,6 @@ def _process_values(z, y, k, grid_rows, order):
     return prefixes[grid_rows] / k
 
 
-def _replication_workers(n_reps):
-    """Threads for the replication loop: one per CPU this process may use,
-    never more than there are replications."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(n_reps, cpus)
-
-
 def _gate(samples, theory):
     """The verdict rule of the process check: the mean of ``samples`` over
     the replications (axis 0), its absolute deviation from ``theory``, the
@@ -256,30 +245,24 @@ def covariance_check(cfg):
     per-entry standard error is estimated from the spread of the centered
     cross products across replications (``_covariance_entries``).  Both
     verdicts, the means against 0 and the covariances against the limit,
-    come from the one rule in ``_gate``.  Worker i of w runs replications
-    i, i + w, i + 2w, ...; the draws and the arithmetic release the GIL for
-    most of each replication.  Beside the (reps x u-grid x q) replications
+    come from the one rule in ``_gate``.  ``rng.replicate`` runs the
+    replications on one thread per CPU; the draws and the arithmetic release
+    the GIL for most of each.  Beside the (reps x u-grid x q) replications
     and the report, the gate holds one (reps x q) array of cross products
     at a time, and the replications are centered in place.
     """
-    # imported here, so that the other subcommands do not pay for it
-    from concurrent.futures import ThreadPoolExecutor
-
     grid = list(cfg.u_grid)
     limit_cov = cfg.generator.xi(cfg.order)
     scale = np.sqrt(cfg.k)
 
     grid_rows = _grid_rows(cfg.k, grid)
     devs = np.empty((cfg.n_reps, len(grid), limit_cov.shape[0]))
-    workers = _replication_workers(cfg.n_reps)
 
-    def run_share(first):
-        for r in range(first, cfg.n_reps, workers):
-            z, y = cfg.generator.sample(cfg.n, rngmod.stream(cfg.seed, 4, r))
-            devs[r] = scale * _process_values(z, y, cfg.k, grid_rows, cfg.order)
+    def run_one(r):
+        z, y = cfg.generator.sample(cfg.n, rngmod.stream(cfg.seed, 4, r))
+        devs[r] = scale * _process_values(z, y, cfg.k, grid_rows, cfg.order)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run_share, range(workers)))
+    rngmod.replicate(run_one, cfg.n_reps, cfg.n_reps)
 
     mean_entries, means = _mean_entries(devs, grid)
     devs -= means  # centered in place: nothing reads the raw values again

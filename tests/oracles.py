@@ -3,7 +3,9 @@
 The tail processes are evaluated straight from their definitions, and the
 cumulative slicing matrices as O(n^2) double sums, so the closed-form
 candidate matrices in ``tirex.estimators`` are checked against code that
-shares none of their prefix-sum arithmetic.
+shares none of their prefix-sum arithmetic.  ``serial_pools`` stands in for
+the thread pool of ``rng.replicate`` and runs its tasks in the calling
+thread.
 """
 
 import csv
@@ -209,3 +211,31 @@ def mean_entries_oracle(devs, grid):
             mean_entries.append(MeanCheckEntry(u, a, float(means[i, a]),
                                                float(mean_se[i, a]), bool(ok)))
     return mean_entries
+
+
+def set_cpus(monkeypatch, cpus):
+    """Let ``rng.replicate`` see ``cpus`` CPUs in this process's affinity mask."""
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def serial_pools(monkeypatch):
+    """Replace the thread pool of ``rng.replicate`` by one that runs each
+    task in the calling thread, so no thread starts; the returned list
+    collects the ``max_workers`` of every pool made."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", SerialPool)
+    return sizes

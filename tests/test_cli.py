@@ -10,6 +10,8 @@ from tirex.cli import run
 from tirex.data import load_csv
 from tirex.evaluation import geometric_k_grid
 
+from oracles import set_cpus
+
 
 def read(path):
     return path.read_bytes()
@@ -243,18 +245,25 @@ def test_verify_process_smoke(tmp_path, capsys):
 
 
 def test_verify_process_output_ignores_the_cpu_count(tmp_path, capsys, monkeypatch):
-    from tirex.process_verify import _replication_workers
+    from concurrent.futures import ThreadPoolExecutor
 
+    sizes = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
     outputs = []
     for cpus in (1, 4):
-        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
-        assert _replication_workers(120) == cpus
+        set_cpus(monkeypatch, cpus)
         out, js = tmp_path / f"vp{cpus}.csv", tmp_path / f"vp{cpus}.json"
         assert run(["verify-process", "--p", "2", "--n", "400", "--k", "40",
                     "--reps", "120", "--order", "2", "--seed", "3",
                     "--out", str(out), "--json-out", str(js)]) == 0
         outputs.append((read(out), read(js), capsys.readouterr().out))
+    assert sizes == [4]  # one CPU runs the replications with no pool
     assert outputs[0] == outputs[1]
     assert re.fullmatch(r"process check (PASSED|FAILED) \(.*, gate 4\*SE, "
                         r"worst \d+\.\d\d SE\)\n", outputs[0][2])
@@ -323,9 +332,9 @@ def test_importing_the_cli_loads_no_scipy():
 
 
 def test_importing_the_cli_loads_no_worker_pools():
-    # the process pool (sweep --jobs) and the thread pool (verify-process)
-    # are imported where they run; loading multiprocessing at import time
-    # added about 20 ms to every CLI call
+    # rng.replicate imports its thread pool only when it starts one (never
+    # at sweep's default --jobs 1); loading concurrent.futures at import
+    # time adds about 10 ms to every CLI call
     assert _loaded_after_cli_import("multiprocessing", "concurrent") == "[]"
 
 

@@ -46,7 +46,7 @@ OUTPUT = mostly(st.sampled_from(["o.csv", "o.txt"]), st.sampled_from(["dir", "mi
 VALUES = {
     "n": SIZE, "reps": SIZE, "n_mc": SIZE,
     "k": ints(1, 300, (-1, 0, 600)), "d": ints(1, 3, (-1, 0, 40)), "p": ints(1, 4),
-    "seed": ints(0, 3), "stream": ints(0, 2), "jobs": ints(1, 1), "order": ints(1, 2, (0, 3)),
+    "seed": ints(0, 3), "stream": ints(0, 2), "jobs": ints(1, 64), "order": ints(1, 2, (0, 3)),
     "folds": ints(2, 5, (-1, 0, 1)), "neighbors": ints(1, 50, (-1, 0, 600)),
     "k_grid": mostly(st.sampled_from(["40", "5,20", "1:300:3", "1,5,600"]),
                      st.sampled_from(["0", "", ",", "1::3", "x", f"1:5:{MAX_SIZE + 1}"])),
@@ -66,7 +66,7 @@ VALUES = {
 INPUTS = ("model", "spec", "infile")  # exactly one of them is required
 
 # JSON with small numbers and no digit strings, so that no config or spec
-# value asks for a large sample, many replications or many processes
+# value asks for a large sample or many replications
 LEAF = st.one_of(st.none(), st.booleans(), st.integers(-3, 4), st.floats(),
                  st.text("ab,:.-", max_size=4))
 JSON = st.recursive(LEAF, lambda inner: st.one_of(

@@ -1,4 +1,3 @@
-import concurrent.futures
 import tracemalloc
 
 import numpy as np
@@ -25,7 +24,7 @@ from tirex.evaluation import (
 )
 from tirex.synthetic import model_preset, true_projector
 
-from oracles import knn_scores_oracle
+from oracles import knn_scores_oracle, serial_pools, set_cpus
 
 # ---------------------------------------------------------------------------
 # AM risk
@@ -462,7 +461,8 @@ def test_sweep_eigensolver_failure_spoils_only_its_cell(monkeypatch):
     assert np.isfinite(got.cell(60).mse)
 
 
-def test_sweep_parallel_matches_serial():
+def test_sweep_parallel_matches_serial(monkeypatch):
+    set_cpus(monkeypatch, 2)  # two threads, however many CPUs the host has
     spec, _ = model_preset("A")
     serial = sweep(spec, 200, "tirex1", 1, [20, 60], reps=4, seed=3, jobs=1)
     parallel = sweep(spec, 200, "tirex1", 1, [20, 60], reps=4, seed=3, jobs=2)
@@ -471,28 +471,15 @@ def test_sweep_parallel_matches_serial():
 
 
 def test_sweep_starts_no_more_workers_than_replications(monkeypatch):
-    # the fork start method launches every worker at the first submit
-    started = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    # nor more than the CPUs: --jobs 100000 on two CPUs asks for two
+    # threads, and on one CPU the replications run in the calling thread
+    started = serial_pools(monkeypatch)
     spec, _ = model_preset("A")
     want = sweep(spec, 200, "tirex1", 1, [20], reps=3, seed=3)
-    for jobs in (2, 64):
+    for cpus, jobs in ((64, 2), (64, 64), (2, 100000), (1, 100000)):
+        set_cpus(monkeypatch, cpus)
         assert sweep(spec, 200, "tirex1", 1, [20], reps=3, seed=3, jobs=jobs) == want
-    assert started == [2, 3]
+    assert started == [2, 3, 2]
 
 
 def test_sweep_rejects_bad_args():

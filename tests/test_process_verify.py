@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import norm
 
-from tirex import process_verify
 from tirex.errors import InvalidInputError
 from tirex.process_verify import (
     CovCheckEntry,
@@ -23,12 +22,11 @@ from tirex.process_verify import (
     _grid_rows,
     _mean_entries,
     _process_values,
-    _replication_workers,
     covariance_check,
 )
 from tirex import rng as rngmod
 
-from oracles import covariance_entries_oracle, mean_entries_oracle
+from oracles import covariance_entries_oracle, mean_entries_oracle, serial_pools, set_cpus
 
 
 def test_config_validation():
@@ -159,8 +157,7 @@ def test_results_do_not_depend_on_the_worker_count(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for workers in (1, 2, 3, 7):
-            monkeypatch.setattr(process_verify, "_replication_workers",
-                                lambda n_reps: min(n_reps, workers))
+            set_cpus(monkeypatch, workers)
             report = covariance_check(_small_config())
             outputs.append((report.to_csv_text(), report.to_json_dict()))
     finally:
@@ -169,14 +166,13 @@ def test_results_do_not_depend_on_the_worker_count(monkeypatch):
 
 
 def test_replication_workers_bounded_by_reps_and_cpus(monkeypatch):
-    for cpus, n_reps, want in ((64, 5, 5), (3, 1000, 3), (1, 100, 1)):
-        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
-        assert _replication_workers(n_reps) == want
-    monkeypatch.delattr("os.sched_getaffinity", raising=False)
-    for cpu_count, want in ((None, 1), (6, 6), (500, 200)):
-        monkeypatch.setattr("os.cpu_count", lambda: cpu_count)
-        assert _replication_workers(200) == want
+    # one thread per CPU, never more than the 101 replications; one CPU
+    # runs the loop in the calling thread, with no pool
+    for cpus, want in ((500, [101]), (3, [3]), (1, [])):
+        set_cpus(monkeypatch, cpus)
+        sizes = serial_pools(monkeypatch)
+        covariance_check(_small_config())
+        assert sizes == want
 
 
 @dataclass(frozen=True)
@@ -193,8 +189,7 @@ class _FailingModel(IndependentNormalModel):
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_failing_replication_surfaces(monkeypatch, workers):
-    monkeypatch.setattr(process_verify, "_replication_workers",
-                        lambda n_reps: min(n_reps, workers))
+    set_cpus(monkeypatch, workers)
     error = InvalidInputError("replication 5 failed")
     raised = []
 
@@ -320,7 +315,7 @@ def test_covariance_check_holds_no_product_array(monkeypatch):
     # (0.72 MB), the report and one (reps x q) row of products, 1.7 MB; the
     # (reps x q x q) product array and a centered copy of the replications
     # put the peak at 4.5 MB
-    monkeypatch.setattr(process_verify, "_replication_workers", lambda n_reps: 1)
+    set_cpus(monkeypatch, 1)
     covariance_check(_small_config())  # leave the first call's imports out of the peak
     cfg = ProcessCheckConfig(generator=IndependentNormalModel(p=3), n=5000, k=500,
                              n_reps=2000, u_grid=(0.1, 0.3, 0.5, 0.7, 1.0), order=2, seed=1)

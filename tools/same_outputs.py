@@ -13,8 +13,10 @@ prints one line per case, with the differences under it, and exits 0 when
 nothing differs and 1 otherwise.
 
 The cases are the four benchmark workloads of ``perfbench/run.py`` at seeds
-1 and 2, five ``verify-process`` runs (one with failing entries), and a
-``fit`` of a CSV whose header names the target twice.
+1 and 2, a five-replication ``sweep`` on model B at ``--jobs`` 2 and 64 (as
+many threads as the CPUs allow), five ``verify-process`` runs (one with
+failing entries), and a ``fit`` of a CSV whose header names the target
+twice.
 """
 
 import argparse
@@ -29,6 +31,10 @@ ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 RUN = "import sys; from tirex.cli import run; sys.exit(run(sys.argv[1:]))"
+
+SWEEP_ARGV = ["sweep", "--model", "B", "--n", "20000", "--method", "tirex2", "--d", "5",
+              "--k-grid", "500:10000:4", "--reps", "5", "--seed", "1",
+              "--out", "s.csv", "--json-out", "s.json"]
 
 VERIFY_ARGVS = [
     ["--n", "5000", "--k", "500", "--reps", "2000", "--order", "2", "--seed", "1"],
@@ -61,12 +67,14 @@ def benchmark_cases():
 
 
 def all_cases():
+    sweeps = [(f"sweep --jobs {jobs}", {}, [SWEEP_ARGV + ["--jobs", jobs]])
+              for jobs in ("2", "64")]
     verify = [(f"verify-process {' '.join(argv)}", {},
                [["verify-process"] + argv + ["--out", "v.csv", "--json-out", "v.json"]])
               for argv in VERIFY_ARGVS]
     dup = ("fit --in dup.csv", {"dup.csv": DUP_CSV},
            [["fit", "--in", "dup.csv", "--method", "pca", "--d", "1", "--out", "o.json"]])
-    return benchmark_cases() + verify + [dup]
+    return benchmark_cases() + sweeps + verify + [dup]
 
 
 def run_case(src, case):
