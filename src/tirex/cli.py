@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import csv_text, load_csv, write_csv
+from .data import csv_lines, load_csv, write_csv
 from .errors import MAX_SIZE, InvalidInputError, NumericalError, TirexError, check_size
 from .estimators import METHODS, fit
 from .evaluation import (
@@ -48,21 +48,23 @@ from .synthetic import (
 )
 
 
-def _write_text(path, text):
-    Path(path).write_text(text, encoding="utf-8")
+def _write_csv_rows(path, rows):
+    """Report CSV rows to ``path``, one line at a time (``data.csv_lines``)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(csv_lines(rows))
 
 
 def _dump_json(obj, path=None):
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if path:
-        _write_text(path, text)
+        Path(path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
 def _write_report(report, args):
     """The report's CSV to --out, then its JSON to --json-out if given."""
-    _write_text(args.out, report.to_csv_text())
+    _write_csv_rows(args.out, report.csv_rows())
     if args.json_out:
         _dump_json(report.to_json_dict(), args.json_out)
 
@@ -248,9 +250,9 @@ def _cmd_fit(args):
     f = fit(ds, args.method, k=args.k, d=args.d, eig_floor=args.eig_floor, ridge=args.ridge)
     _dump_json(f.to_json_dict(), args.out)
     if args.basis_out:
-        _write_text(args.basis_out, csv_text(f.basis_raw))
+        _write_csv_rows(args.basis_out, f.basis_raw)
     if args.projector_out:
-        _write_text(args.projector_out, csv_text(f.projector_whitened))
+        _write_csv_rows(args.projector_out, f.projector_whitened)
     return 0
 
 

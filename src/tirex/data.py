@@ -276,13 +276,13 @@ def _csv_cell(v):
     return str(v)
 
 
-def csv_text(rows):
-    """Report CSV text, one line per row, the header being the first row.
+def csv_lines(rows):
+    """Report CSV lines, one per row, the header being the first row.
 
     Floats are written as shortest round-trip decimals, bools as 0/1 and
     None as an empty cell; nothing is quoted.
     """
-    return "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
+    return (",".join(map(_csv_cell, row)) + "\n" for row in rows)
 
 
 _TOO_LARGE = "covariates too large: their second moment overflows"

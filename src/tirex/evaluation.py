@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng as rngmod
-from .data import csv_text, empirical_quantile
+from .data import empirical_quantile
 from .errors import InvalidInputError, NumericalError
 from .estimators import FREE_K_METHODS, PreparedFit, fit
 from .linalg import frobenius_dist_sq
@@ -211,10 +211,10 @@ class SweepReport:
     reps: int
     cells: list
 
-    def to_csv_text(self):
+    def csv_rows(self):
         columns = ("k", "bias_sq", "variance", "mse")
         rows = ([getattr(cell, c) for c in columns] for cell in self.cells)
-        return csv_text(chain([columns], rows))
+        return chain([columns], rows)
 
     def to_json_dict(self):
         return asdict(self)
@@ -400,10 +400,10 @@ class ClassificationReport:
     baseline_am_risk: float
     scores: list
 
-    def to_csv_text(self):
+    def csv_rows(self):
         columns = [f.name for f in fields(MethodScore)]
         rows = ([getattr(s, c) for c in columns] for s in self.scores)
-        return csv_text(chain([columns], rows))
+        return chain([columns], rows)
 
     def to_json_dict(self):
         return asdict(self)

@@ -8,11 +8,12 @@ in the extreme fraction.  D_hat_n sums the estimators' own
 ``tail_increments``.  This module simulates replications of the process
 on a u-grid and compares empirical means and cross-covariances entrywise
 against the limit, gating each entry at four Monte-Carlo standard errors;
-``_gate`` is the one place that rule is computed, for both.
-Four SEs per entry without multiplicity correction makes this a diagnostic
-gate, not a formal hypothesis test; with a few hundred entries occasional
-borderline excursions are expected under a wrong implementation much more
-than under a correct one.
+``_gate`` is the one place that rule is computed, for both, and each
+gate's entries are one numpy record array.  Four SEs per entry without
+multiplicity correction makes this a diagnostic gate, not a formal
+hypothesis test; with a few hundred entries occasional borderline
+excursions are expected under a wrong implementation much more than under
+a correct one.
 
 The verification model draws the target independent of standard normal
 covariates, for which every limit quantity is exact: D_n = 0 and nu = 0, so
@@ -26,13 +27,12 @@ core).  Replication r draws from its own stream and writes its own row, so
 every output is identical for any thread count.
 """
 
-from dataclasses import asdict, dataclass, fields
-from itertools import chain
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng as rngmod
-from .data import ceil_index, csv_text, descending_order
+from .data import ceil_index, descending_order, row_blocks
 from .errors import InvalidInputError, check_size
 from .estimators import tail_increments
 
@@ -102,41 +102,31 @@ class ProcessCheckConfig:
         object.__setattr__(self, "u_grid", grid)
 
 
-@dataclass(frozen=True)
-class MeanCheckEntry:
-    u: float
-    component: int
-    mean: float
-    se: float
-    ok: bool
+#: The record of one mean-gate and of one covariance-gate entry.
+MEAN_ENTRY = np.dtype([("u", float), ("component", np.int64), ("mean", float),
+                       ("se", float), ("ok", bool)])
+COV_ENTRY = np.dtype([("u_s", float), ("u_t", float), ("row", np.int64), ("col", np.int64),
+                      ("empirical", float), ("theoretical", float), ("deviation", float),
+                      ("se", float), ("ok", bool)])
 
-
-@dataclass(frozen=True)
-class CovCheckEntry:
-    u_s: float
-    u_t: float
-    row: int
-    col: int
-    empirical: float
-    theoretical: float
-    deviation: float
-    se: float
-    ok: bool
+#: Most cross products one covariance ``_gate`` call reduces.  ``_gate``'s
+#: std holds two more arrays of this size; 2^18 raised the benchmark's peak.
+GATE_BLOCK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
 class ProcessCheckReport:
     config_summary: dict
-    mean_entries: list
-    cov_entries: list
+    mean_entries: np.ndarray  # MEAN_ENTRY records
+    cov_entries: np.ndarray  # COV_ENTRY records
 
     @property
     def mean_ok(self):
-        return all(e.ok for e in self.mean_entries)
+        return bool(self.mean_entries["ok"].all())
 
     @property
     def cov_ok(self):
-        return all(e.ok for e in self.cov_entries)
+        return bool(self.cov_entries["ok"].all())
 
     @property
     def passed(self):
@@ -145,13 +135,16 @@ class ProcessCheckReport:
     def max_cov_deviation_in_se(self):
         """The largest covariance deviation in standard errors.  An entry
         with se == 0 counts as 0 when it matches exactly and as inf if not."""
-        return max(e.deviation / e.se if e.se > 0 else (np.inf if e.deviation else 0.0)
-                   for e in self.cov_entries)
+        dev, se = self.cov_entries["deviation"], self.cov_entries["se"]
+        return float(np.divide(dev, se, out=np.where(dev != 0, np.inf, 0.0), where=se > 0).max())
 
-    def to_csv_text(self):
-        columns = [f.name for f in fields(CovCheckEntry)]
-        rows = ([getattr(e, c) for c in columns] for e in self.cov_entries)
-        return csv_text(chain([columns], rows))
+    def csv_rows(self):
+        """The header, then one ``row_blocks`` block of entries at a time,
+        as columns: lists of columns take less memory than record tuples."""
+        yield COV_ENTRY.names
+        for lo, hi in row_blocks(len(self.cov_entries)):
+            block = self.cov_entries[lo:hi]
+            yield from zip(*(block[name].tolist() for name in COV_ENTRY.names))
 
     def to_json_dict(self):
         worst = self.max_cov_deviation_in_se()
@@ -172,8 +165,9 @@ class ProcessCheckReport:
 
 
 def _failures(entries):
-    """The failed entries as JSON objects, without their ok flag."""
-    return [{k: v for k, v in asdict(e).items() if k != "ok"} for e in entries if not e.ok]
+    """The failed entries as JSON objects (Python scalars), without ok."""
+    names = [name for name in entries.dtype.names if name != "ok"]
+    return [dict(zip(names, row)) for row in entries[~entries["ok"]][names].tolist()]
 
 
 def _grid_rows(k, u_grid):
@@ -204,36 +198,39 @@ def _gate(samples, theory):
 
 
 def _mean_entries(replications, grid):
-    """The mean gate's entries, for u and then component a, each against
+    """The mean gate's records, for u and then component a, each against
     the limit 0, and the means of the replications (reps x u-grid x q)."""
     means, _, se, ok = _gate(replications, 0.0)
-    entries = [MeanCheckEntry(u, a, float(means[i, a]), float(se[i, a]), bool(ok[i, a]))
-               for i, u in enumerate(grid) for a in range(means.shape[1])]
-    return entries, means
+    entries = np.empty(means.shape, MEAN_ENTRY)
+    entries["u"] = np.asarray(grid)[:, None]
+    entries["component"] = np.arange(means.shape[1])
+    entries["mean"], entries["se"], entries["ok"] = means, se, ok
+    return entries.ravel(), means
 
 
 def _covariance_entries(centered, grid, limit_cov):
-    """The covariance gate's entries, for u-pairs s <= t and then row a and
+    """The covariance gate's records, for u-pairs s <= t and then row a and
     column b, from the centered replications (reps x u-grid x q).
 
-    The cross products of one (s, t, a) are a (reps x q) array, gated by
-    ``_gate``: per entry the same sequential sums over the replications as
-    over the whole (reps x q x q) product array, so the bits do not depend
-    on which entries share a reduction.
+    The cross products of one (s, t) go to ``_gate`` in blocks of rows a of
+    at most ``GATE_BLOCK_ELEMENTS`` (at least one row): per entry the same
+    sequential sums over the replications as over the whole (reps x q x q)
+    product array, so the bits do not depend on the block.
     """
-    n_u = centered.shape[1]
-    entries = []
-    for s in range(n_u):
-        for t in range(s, n_u):
-            theory = min(grid[s], grid[t]) * limit_cov
-            for a, row_theory in enumerate(theory):
-                emp, dev, se, ok = _gate(centered[:, s, a, None] * centered[:, t, :],
-                                         row_theory)
-                entries += [CovCheckEntry(grid[s], grid[t], a, b, float(emp[b]),
-                                          float(row_theory[b]), float(dev[b]),
-                                          float(se[b]), bool(ok[b]))
-                            for b in range(len(row_theory))]
-    return entries
+    n_reps, n_u, q = centered.shape
+    us, ut = np.triu_indices(n_u)
+    grid = np.asarray(grid)
+    entries = np.empty((len(us), q, q), COV_ENTRY)
+    entries["u_s"], entries["u_t"] = grid[us, None, None], grid[ut, None, None]
+    entries["row"], entries["col"] = np.arange(q)[:, None], np.arange(q)
+    entries["theoretical"] = np.minimum(grid[us], grid[ut])[:, None, None] * limit_cov
+    rows = max(1, GATE_BLOCK_ELEMENTS // (n_reps * q))
+    for pair, s, t in zip(entries, us, ut):
+        for a in range(0, q, rows):
+            block = pair[a:a + rows]
+            block["empirical"], block["deviation"], block["se"], block["ok"] = _gate(
+                centered[:, s, a:a + rows, None] * centered[:, t, None, :], block["theoretical"])
+    return entries.ravel()
 
 
 def covariance_check(cfg):
@@ -248,8 +245,8 @@ def covariance_check(cfg):
     come from the one rule in ``_gate``.  ``rng.replicate`` runs the
     replications on one thread per CPU; the draws and the arithmetic release
     the GIL for most of each.  Beside the (reps x u-grid x q) replications
-    and the report, the gate holds one (reps x q) array of cross products
-    at a time, and the replications are centered in place.
+    and the report, the gate holds one block of cross products at a time,
+    and the replications are centered in place.
     """
     grid = list(cfg.u_grid)
     limit_cov = cfg.generator.xi(cfg.order)

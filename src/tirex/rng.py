@@ -38,8 +38,9 @@ def stream(seed, *key):
 def replicate(fn, n_reps, workers):
     """``[fn(0), ..., fn(n_reps - 1)]`` on w = min(workers, n_reps, CPUs this
     process may use) threads, worker i running replications i, i + w, ...;
-    an exception in any replication is raised here.  With w = 1 the loop
-    runs in the calling thread and no pool is made."""
+    an exception in any replication is raised here, and the other workers
+    start no further replication once it is.  With w = 1 the loop runs in
+    the calling thread and no pool is made."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -48,7 +49,19 @@ def replicate(fn, n_reps, workers):
     if w <= 1:
         return [fn(r) for r in range(n_reps)]
     import concurrent.futures  # here: the import costs every CLI call ~10 ms
+    import threading
+
+    failed = threading.Event()
+
+    def run(r):
+        if failed.is_set():
+            return None  # another replication raised: no result is read
+        try:
+            return fn(r)
+        except BaseException:
+            failed.set()
+            raise
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=w) as pool:
-        shares = list(pool.map(lambda i: [fn(r) for r in range(i, n_reps, w)], range(w)))
+        shares = list(pool.map(lambda i: [run(r) for r in range(i, n_reps, w)], range(w)))
     return [shares[r % w][r // w] for r in range(n_reps)]

@@ -17,7 +17,7 @@ from tirex.data import Dataset, ceil_index
 from tirex.errors import InvalidInputError
 from tirex.estimators import tail_increments
 from tirex.linalg import symmetrize
-from tirex.process_verify import CovCheckEntry, MeanCheckEntry
+from tirex.process_verify import COV_ENTRY, MEAN_ENTRY
 from tirex.synthetic import _categorical
 
 
@@ -176,8 +176,8 @@ def whiten_all(std):
 
 def covariance_entries_oracle(centered, grid, limit_cov):
     """``process_verify._covariance_entries`` as one (reps x q x q) product
-    array per u-pair, as the gate was computed before it went row by row:
-    the bit-for-bit reference."""
+    array per u-pair, as the gate was computed before it went in blocks of
+    rows: the bit-for-bit reference, as ``COV_ENTRY`` records."""
     n_reps, n_u, q = centered.shape
     entries = []
     for s in range(n_u):
@@ -190,17 +190,16 @@ def covariance_entries_oracle(centered, grid, limit_cov):
             ok = dev <= 4.0 * se + 1e-12
             for a in range(q):
                 for b in range(q):
-                    entries.append(CovCheckEntry(
-                        u_s=grid[s], u_t=grid[t], row=a, col=b,
-                        empirical=float(emp[a, b]), theoretical=float(theory[a, b]),
-                        deviation=float(dev[a, b]), se=float(se[a, b]), ok=bool(ok[a, b])))
-    return entries
+                    entries.append((grid[s], grid[t], a, b, emp[a, b], theory[a, b],
+                                    dev[a, b], se[a, b], ok[a, b]))
+    return np.array(entries, COV_ENTRY)
 
 
 def mean_entries_oracle(devs, grid):
     """``process_verify._mean_entries`` as the mean gate was written inline
     in ``covariance_check`` before the verdict rule had one home: the
-    bit-for-bit reference, failing entries included."""
+    bit-for-bit reference, failing entries included, as ``MEAN_ENTRY``
+    records."""
     n_reps, _, q = devs.shape
     mean_entries = []
     means = devs.mean(axis=0)
@@ -208,9 +207,8 @@ def mean_entries_oracle(devs, grid):
     for i, u in enumerate(grid):
         for a in range(q):
             ok = abs(means[i, a]) <= 4.0 * mean_se[i, a] + 1e-12
-            mean_entries.append(MeanCheckEntry(u, a, float(means[i, a]),
-                                               float(mean_se[i, a]), bool(ok)))
-    return mean_entries
+            mean_entries.append((u, a, means[i, a], mean_se[i, a], ok))
+    return np.array(mean_entries, MEAN_ENTRY)
 
 
 def set_cpus(monkeypatch, cpus):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tirex import evaluation
+from tirex.data import csv_lines
 from tirex.errors import InvalidInputError
 from tirex.evaluation import (
     SweepReport,
@@ -417,7 +418,7 @@ def test_sweep_cell_with_every_replication_failed_is_nan():
     assert np.isnan(cell.bias_sq) and np.isnan(cell.variance) and np.isnan(cell.mse)
     assert cell.reps_ok == 0 and cell.failures == 3
     report = SweepReport(method="tirex1", d=1, reps=3, cells=[cell])
-    assert report.to_csv_text() == "k,bias_sq,variance,mse\n5,nan,nan,nan\n"
+    assert "".join(csv_lines(report.csv_rows())) == "k,bias_sq,variance,mse\n5,nan,nan,nan\n"
 
 
 def test_sweep_decomposition_identity():
@@ -495,7 +496,7 @@ def test_sweep_rejects_bad_args():
 def test_sweep_csv_columns():
     spec, _ = model_preset("A")
     report = sweep(spec, 60, "tirex1", 1, [6, 12], reps=2, seed=0)
-    text = report.to_csv_text()
+    text = "".join(csv_lines(report.csv_rows()))
     lines = text.strip().split("\n")
     assert lines[0] == "k,bias_sq,variance,mse"
     assert len(lines) == 3
@@ -610,7 +611,7 @@ def test_classify_experiment_report_shape():
     )
     assert report.baseline_am_risk == 0.5
     assert report.n_train + report.n_test == 800
-    text = report.to_csv_text()
+    text = "".join(csv_lines(report.csv_rows()))
     header = text.strip().split("\n")[0].split(",")
     for col in ("method", "am_risk", "auc", "chosen_k"):
         assert col in header

@@ -2,7 +2,7 @@ import json
 import sys
 import threading
 import tracemalloc
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,9 +11,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import norm
 
+from tirex import process_verify
+from tirex.data import csv_lines
 from tirex.errors import InvalidInputError
 from tirex.process_verify import (
-    CovCheckEntry,
+    COV_ENTRY,
+    MEAN_ENTRY,
     IndependentNormalModel,
     ProcessCheckConfig,
     ProcessCheckReport,
@@ -102,8 +105,8 @@ def test_covariance_check_passes_at_reduced_scale():
     assert report.cov_ok
     # variance of each coordinate at u is close to u itself
     for e in report.cov_entries:
-        if e.u_s == e.u_t and e.row == e.col:
-            assert e.empirical == pytest.approx(min(e.u_s, e.u_t), abs=5 * e.se)
+        if e["u_s"] == e["u_t"] and e["row"] == e["col"]:
+            assert e["empirical"] == pytest.approx(min(e["u_s"], e["u_t"]), abs=5 * e["se"])
 
 
 def test_covariance_check_cross_terms():
@@ -112,12 +115,12 @@ def test_covariance_check_cross_terms():
         n=1200, k=120, n_reps=300, u_grid=(0.3, 0.7), order=1, seed=11,
     )
     report = covariance_check(cfg)
-    cross = [e for e in report.cov_entries if (e.u_s, e.u_t) == (0.3, 0.7)]
+    cross = [e for e in report.cov_entries if (e["u_s"], e["u_t"]) == (0.3, 0.7)]
     assert cross
     for e in cross:
-        want = 0.3 if e.row == e.col else 0.0
-        assert e.theoretical == pytest.approx(want)
-        assert e.ok
+        want = 0.3 if e["row"] == e["col"] else 0.0
+        assert e["theoretical"] == pytest.approx(want)
+        assert e["ok"]
 
 
 def test_covariance_check_second_order_reduced_scale():
@@ -135,12 +138,16 @@ def test_report_csv_shape():
         n=400, k=40, n_reps=120, u_grid=(0.5, 1.0), order=1, seed=5,
     )
     report = covariance_check(cfg)
-    lines = report.to_csv_text().strip().split("\n")
+    lines = _csv_text(report).strip().split("\n")
     assert lines[0] == "u_s,u_t,row,col,empirical,theoretical,deviation,se,ok"
     # 3 u-pairs x 2x2 entries
     assert len(lines) == 1 + 3 * 4
     d = report.to_json_dict()
     assert d["passed"] == report.passed
+
+
+def _csv_text(report):
+    return "".join(csv_lines(report.csv_rows()))
 
 
 def _small_config(**kw):
@@ -159,7 +166,7 @@ def test_results_do_not_depend_on_the_worker_count(monkeypatch):
         for workers in (1, 2, 3, 7):
             set_cpus(monkeypatch, workers)
             report = covariance_check(_small_config())
-            outputs.append((report.to_csv_text(), report.to_json_dict()))
+            outputs.append((_csv_text(report), report.to_json_dict()))
     finally:
         sys.setswitchinterval(interval)
     assert all(out == outputs[0] for out in outputs[1:])
@@ -206,20 +213,23 @@ def test_failing_replication_surfaces(monkeypatch, workers):
     assert len(raised) == 1 and raised[0] is error
 
 
-def _cov_entry(deviation, se):
-    return CovCheckEntry(u_s=1.0, u_t=1.0, row=0, col=0, empirical=deviation,
-                         theoretical=0.0, deviation=deviation, se=se, ok=deviation == 0)
+def _cov_report(*entries):
+    """A report with no mean entries and one covariance entry per
+    (deviation, se)."""
+    cov = np.array([(1.0, 1.0, 0, 0, dev, 0.0, dev, se, dev == 0) for dev, se in entries],
+                   COV_ENTRY)
+    return ProcessCheckReport({}, np.empty(0, MEAN_ENTRY), cov)
 
 
 def test_worst_deviation_in_se_units():
-    report = ProcessCheckReport({}, [], [_cov_entry(0.0, 0.0), _cov_entry(0.3, 0.2)])
+    report = _cov_report((0.0, 0.0), (0.3, 0.2))
     assert report.max_cov_deviation_in_se() == pytest.approx(1.5)
     # an entry with no spread that matches exactly is no deviation at all
-    exact = ProcessCheckReport({}, [], [_cov_entry(0.0, 0.0)])
+    exact = _cov_report((0.0, 0.0))
     assert exact.max_cov_deviation_in_se() == 0.0
     assert exact.to_json_dict()["max_cov_deviation_se"] == 0.0
     # one that misses has an unbounded one, written as JSON null
-    off = ProcessCheckReport({}, [], [_cov_entry(0.0, 0.0), _cov_entry(0.1, 0.0)])
+    off = _cov_report((0.0, 0.0), (0.1, 0.0))
     assert off.max_cov_deviation_in_se() == np.inf
     payload = off.to_json_dict()
     assert payload["max_cov_deviation_se"] is None
@@ -239,7 +249,7 @@ def _centered_replications(draw, center=True):
 
 
 def _bits(entries):
-    return np.array([astuple(e) for e in entries]).tobytes()
+    return entries.dtype, entries.tobytes()
 
 
 def _mixed_verdicts_case(center):
@@ -262,8 +272,24 @@ def test_gates_equal_their_oracles_on_mixed_verdicts(center):
     covs = _covariance_entries(replications, grid, limit_cov)
     assert _bits(means) == _bits(mean_entries_oracle(replications, grid))
     assert _bits(covs) == _bits(covariance_entries_oracle(replications, grid, limit_cov))
-    assert {e.ok for e in covs} == {True, False}
-    assert {e.ok for e in means} == ({True} if center else {True, False})
+    assert set(covs["ok"].tolist()) == {True, False}
+    assert set(means["ok"].tolist()) == ({True} if center else {True, False})
+
+
+def test_failures_in_the_json_are_python_scalars():
+    # numpy integers in the payload would make json.dumps raise
+    replications, grid, limit_cov = _mixed_verdicts_case(center=False)
+    report = ProcessCheckReport({}, _mean_entries(replications, grid)[0],
+                                _covariance_entries(replications, grid, limit_cov))
+    payload = report.to_json_dict()
+    json.dumps(payload, allow_nan=False)
+    assert payload["mean_failures"] and payload["cov_failures"]
+    for failure in payload["mean_failures"]:
+        assert type(failure["component"]) is int and type(failure["mean"]) is float
+    for failure in payload["cov_failures"]:
+        assert type(failure["row"]) is int and type(failure["col"]) is int
+        assert type(failure["se"]) is float
+    assert type(payload["mean_ok"]) is bool and type(payload["passed"]) is bool
 
 
 @given(_centered_replications(center=False))
@@ -278,13 +304,18 @@ def test_mean_entries_equal_the_inline_gate_oracle(case):
 @given(st.one_of(_centered_replications(), _centered_replications(center=False)))
 @settings(max_examples=100, deadline=None)
 def test_covariance_entries_equal_the_product_array_oracle(case):
-    # one (reps x q) row of cross products at a time gives the bits of the
-    # whole (reps x q x q) product array
+    # cross products gated one row at a time, two rows at a time (a short
+    # last block when q is odd), all at once and at the module's budget give
+    # the bits of the whole (reps x q x q) product array
     centered, grid, limit_cov = case
-    got = _covariance_entries(centered, grid, limit_cov)
+    n_reps, _, q = centered.shape
     want = covariance_entries_oracle(centered, grid, limit_cov)
-    assert len(got) == len(want)
-    assert _bits(got) == _bits(want)
+    for budget in (1, 2 * n_reps * q, n_reps * q * q + 1, process_verify.GATE_BLOCK_ELEMENTS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(process_verify, "GATE_BLOCK_ELEMENTS", budget)
+            got = _covariance_entries(centered, grid, limit_cov)
+        assert len(got) == len(want)
+        assert _bits(got) == _bits(want)
 
 
 def test_gate_passes_up_to_four_standard_errors():
@@ -307,14 +338,14 @@ def test_gate_with_no_spread_passes_only_a_match():
     replications = np.zeros((4, 2, 1))
     replications[:, 1] = 0.5
     entries, _ = _mean_entries(replications, [0.5, 1.0])
-    assert [(e.mean, e.se, e.ok) for e in entries] == [(0.0, 0.0, True), (0.5, 0.0, False)]
+    assert entries[["mean", "se", "ok"]].tolist() == [(0.0, 0.0, True), (0.5, 0.0, False)]
 
 
 def test_covariance_check_holds_no_product_array(monkeypatch):
     # the benchmark's verify-process-2 check on one worker: the replications
-    # (0.72 MB), the report and one (reps x q) row of products, 1.7 MB; the
-    # (reps x q x q) product array and a centered copy of the replications
-    # put the peak at 4.5 MB
+    # (0.72 MB), the report and one block of at most 2^16 products with
+    # _gate's temporaries, 1.9 MB; the (reps x q x q) product array and a
+    # centered copy of the replications put the peak at 4.5 MB
     set_cpus(monkeypatch, 1)
     covariance_check(_small_config())  # leave the first call's imports out of the peak
     cfg = ProcessCheckConfig(generator=IndependentNormalModel(p=3), n=5000, k=500,

@@ -1,5 +1,8 @@
 import subprocess
 import sys
+import time
+
+import pytest
 
 from tirex.rng import replicate
 
@@ -33,3 +36,21 @@ def test_one_worker_runs_in_the_calling_thread_and_imports_no_pool():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_a_failing_replication_stops_the_other_workers(monkeypatch):
+    # on two real threads replication 0 raises; the other worker used to run
+    # its whole share of 500 before the error reached the caller
+    set_cpus(monkeypatch, 2)
+    ran = []
+
+    def fn(r):
+        ran.append(r)
+        time.sleep(1e-3)
+        if r == 0:
+            raise ValueError("replication 0 failed")
+        return r
+
+    with pytest.raises(ValueError, match="replication 0 failed"):
+        replicate(fn, 1000, 2)
+    assert 0 in ran and len(ran) < 50

@@ -14,9 +14,9 @@ nothing differs and 1 otherwise.
 
 The cases are the four benchmark workloads of ``perfbench/run.py`` at seeds
 1 and 2, a five-replication ``sweep`` on model B at ``--jobs`` 2 and 64 (as
-many threads as the CPUs allow), five ``verify-process`` runs (one with
-failing entries), and a ``fit`` of a CSV whose header names the target
-twice.
+many threads as the CPUs allow), six ``verify-process`` runs (two with
+failing entries, one of them 19 440 covariance rows written in three CSV row
+blocks), and a ``fit`` of a CSV whose header names the target twice.
 """
 
 import argparse
@@ -42,6 +42,7 @@ VERIFY_ARGVS = [
     ["--p", "2", "--k", "299", "--u-grid", "0.01,1.0"],
     ["--p", "4", "--order", "2", "--k", "20"],
     ["--p", "5", "--order", "2", "--n", "400", "--k", "40", "--reps", "100", "--seed", "1"],
+    ["--p", "6", "--order", "2", "--n", "400", "--k", "40", "--reps", "100", "--seed", "1"],
 ]
 
 DUP_CSV = "y,y,x\n" + "".join(f"{(i * 7) % 11},{(i * 5) % 13},{(i * 3) % 17}\n"
