@@ -243,10 +243,9 @@ def sweep_cell(k, projectors, truth):
 
 def _rep_projectors(spec, n, method, d, k_grid, seed, rep):
     """Projector matrices for one replication, one entry per grid position
-    (None marks a numerical failure)."""
-    ds = sample(spec, n, seed, stream=rep)
+    (None marks a numerical failure, of the sample or of a fit)."""
     try:
-        prepared = PreparedFit(ds, method, d)
+        prepared = PreparedFit(sample(spec, n, seed, stream=rep), method, d)
     except NumericalError:
         return [None] * len(k_grid)
     return [None if isinstance(f, NumericalError) else f.projector_whitened

@@ -31,21 +31,22 @@ import numpy as np
 
 from . import rng as rngmod
 from .data import Dataset, row_blocks
-from .errors import InvalidInputError, check_size
+from .errors import InvalidInputError, NumericalError, check_size
 
 _QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-10, limit=200)
 
 
 @dataclass(frozen=True)
 class UniformLaw:
-    """Covariate components iid uniform on [a, b], 0 <= a < b."""
+    """Covariate components iid uniform on [a, b], 0 <= a < b < inf."""
 
     a: float
     b: float
 
     def __post_init__(self):
-        if not (0.0 <= self.a < self.b):
-            raise InvalidInputError(f"uniform law requires 0 <= a < b, got [{self.a}, {self.b}]")
+        if not (0.0 <= self.a < self.b < math.inf):
+            raise InvalidInputError(
+                f"uniform law requires 0 <= a < b < inf, got [{self.a}, {self.b}]")
 
     def sample(self, rng, shape):
         return self.a + (self.b - self.a) * rng.random(shape)
@@ -264,7 +265,8 @@ def sample(spec, n, seed, stream=0):
     row-major order, so consecutive blocks draw exactly the numbers of one
     full draw.  Of a noise block only the entry per row that y reads is
     kept, and V and W go straight into the covariate matrix, which is the
-    only n x p array held.
+    only n x p array held.  A response beyond the float range (a tiny alpha
+    or a huge covariate bound) raises NumericalError.
     """
     if n < 1:
         raise InvalidInputError("n must be >= 1")
@@ -273,14 +275,19 @@ def sample(spec, n, seed, stream=0):
     b = rng.random(n) < spec.theta
     idx1 = _categorical(rng, spec.pi1, n)
     idx2 = _categorical(rng, spec.pi2, n)
-    eps = -np.log1p(-_picked_uniforms(rng, idx1, m)) / spec.alpha1
-    zeta = (1.0 - _picked_uniforms(rng, idx2, spec.d)) ** (-1.0 / spec.alpha2)
+    with np.errstate(over="ignore"):  # an overflow shows as inf in y, checked below
+        eps = -np.log1p(-_picked_uniforms(rng, idx1, m)) / spec.alpha1
+        zeta = (1.0 - _picked_uniforms(rng, idx2, spec.d)) ** (-1.0 / spec.alpha2)
     x = np.empty((n, spec.p))
     for cols, width in ((slice(None, m), m), (slice(m, None), spec.d)):
         for lo, hi in row_blocks(n):
             x[lo:hi, cols] = spec.covariate_law.sample(rng, (hi - lo, width))
     rows = np.arange(n)
-    y = np.where(b, x[rows, idx1] * eps, x[rows, m + idx2] * zeta)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or 0 * inf = nan
+        y = np.where(b, x[rows, idx1] * eps, x[rows, m + idx2] * zeta)
+    if not np.isfinite(y).all():
+        raise NumericalError(f"a response overflows float64 (alpha1={spec.alpha1}, "
+                             f"alpha2={spec.alpha2}, covariates up to {spec.covariate_law.upper()})")
     names = [f"v{i + 1}" for i in range(m)] + [f"w{j + 1}" for j in range(spec.d)]
     return Dataset(x=x, y=y, names=names)
 

@@ -23,7 +23,7 @@ from tirex.evaluation import (
     sweep,
     sweep_cell,
 )
-from tirex.synthetic import model_preset, true_projector
+from tirex.synthetic import MixtureSpec, UniformLaw, model_preset, true_projector
 
 from oracles import knn_scores_oracle, serial_pools, set_cpus
 
@@ -437,6 +437,13 @@ def test_sweep_counts_numerical_failures():
     cell = report.cells[0]
     assert cell.failures > 0
     assert cell.reps_ok + cell.failures == 30
+
+
+def test_sweep_counts_an_overflowing_sample_as_failed():
+    spec = MixtureSpec(p=2, d=1, theta=0.0, alpha1=10.0, alpha2=2.0**-7,
+                       covariate_law=UniformLaw(1.0, 10.0))
+    cell = sweep(spec, 2000, "tirex1", 1, [40], reps=3, seed=0).cells[0]
+    assert (cell.reps_ok, cell.failures) == (0, 3)
 
 
 def test_sweep_eigensolver_failure_spoils_only_its_cell(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tirex import data
-from tirex.errors import InvalidInputError
+from tirex.errors import InvalidInputError, NumericalError
 from tirex.synthetic import (
     BernoulliLaw,
     MixtureSpec,
@@ -84,6 +84,16 @@ def test_model_c_tau_one_constant_covariates():
     assert np.all(ds.x == 1.0)
 
 
+def test_sample_overflow_raises_only_when_a_response_overflows():
+    # zeta = U^(-128) overflows for about one row in 250
+    base = dict(p=2, d=1, alpha1=10.0, alpha2=2.0**-7, covariate_law=UniformLaw(1.0, 10.0))
+    with pytest.raises(NumericalError, match="overflows"):
+        sample(MixtureSpec(theta=0.0, **base), 2000, seed=0)
+    # with theta = 1 no row reads zeta: its overflow neither warns nor raises
+    ds = sample(MixtureSpec(theta=1.0, **base), 2000, seed=0)
+    assert np.isfinite(ds.y).all()
+
+
 def test_true_projector_model_a():
     spec, _ = model_preset("A")
     p = true_projector(spec)
@@ -114,6 +124,8 @@ def test_mixture_spec_validation():
                     pi1=np.array([0.5, 0.6]))
     with pytest.raises(InvalidInputError):
         UniformLaw(5.0, 2.0)
+    with pytest.raises(InvalidInputError):
+        UniformLaw(0.0, float("inf"))
     with pytest.raises(InvalidInputError):
         BernoulliLaw(1.2)
 
