@@ -100,15 +100,15 @@ def knn_scores(train_pts, train_labels, query_pts, n_neighbors=DEFAULT_NEIGHBORS
     In one dimension (finite coordinates) the training points are sorted once
     per call.  When a query's m nearest points are unique, they are a run
     ts[l : l + m] of the sorted values with l in [i - m, i], i being the
-    query's insertion point, and a binary search finds l in O(log m) steps.
-    The run answers the query when both points just outside it are strictly
-    farther than its farther end, whatever the search returned; the vote is
-    then a difference of prefix counts of positive labels.  Every other query
-    takes the full scan, the one place ties are broken, so tie-heavy inputs
-    (integer-valued covariates) cost O(n_train) per query.  The squared
-    distances are rounded, so a tie can also join distinct values: from
-    q = -1e16 the points 0, 1, ..., 5 lie at only 3 distinct squared
-    distances.
+    query's insertion point, and a midpoint search finds l in one call
+    (``_run_starts``).  The run answers the query when both points just
+    outside it are strictly farther than its farther end, whatever the search
+    returned; the vote is then a difference of prefix counts of positive
+    labels.  Every other query takes the full scan, the one place ties are
+    broken, so tie-heavy inputs (integer-valued covariates) cost O(n_train)
+    per query.  The squared distances are rounded, so a tie can also join
+    distinct values: from q = -1e16 the points 0, 1, ..., 5 lie at only 3
+    distinct squared distances.
     """
     tp = np.asarray(train_pts, dtype=float)
     qp = np.asarray(query_pts, dtype=float)
@@ -158,21 +158,25 @@ def _knn_brute(tp, positive, qp, m):
     return out
 
 
+def _run_starts(ts, q, m):
+    """First l in [i - m, i] (i the insertion point, clipped to the data)
+    whose pair midpoint (ts[l] + ts[l + m]) / 2 is >= q: the halves sum to
+    s + err exactly (TwoSum), and complex numbers order as (real, imag).
+    Halving rounds below 2**-1021 only, where the two distances it could
+    reorder round equal or square to 0, so no start passes the certificate."""
+    n = ts.size
+    a, b = 0.5 * ts[: n - m], 0.5 * ts[m:]
+    s = a + b
+    err = (a - (s - (s - a))) + (b - (s - a))
+    i = np.searchsorted(ts, q)
+    return np.clip(np.searchsorted(s + 1j * err, q), np.maximum(i - m, 0), np.minimum(i, n - m))
+
+
 def _knn_runs(t, positive, q, m):
     order = np.argsort(t)
     ts, n = t[order], t.size
     positives_before = np.concatenate(([0], np.cumsum(positive[order])))
-    # first l in [i - m, i] whose ts[l + m] is no nearer than ts[l]; a lane
-    # leaves the search once lo == hi, so ts[mid + m] stays in range
-    i = np.searchsorted(ts, q)
-    lo, hi = np.maximum(i - m, 0), np.minimum(i, n - m)
-    live = np.flatnonzero(lo < hi)
-    while live.size:
-        mid, ql = (lo[live] + hi[live]) // 2, q[live]
-        shift = ql - ts[mid] > ts[mid + m] - ql
-        lo[live[shift]] = mid[shift] + 1
-        hi[live[~shift]] = mid[~shift]
-        live = live[lo[live] < hi[live]]
+    lo = _run_starts(ts, q, m)
     # certificate: both outside neighbours of ts[lo : lo + m] are farther
     kth = np.maximum((q - ts[lo]) ** 2, (q - ts[lo + m - 1]) ** 2)
     spill = (lo > 0) & ((q - ts[np.maximum(lo - 1, 0)]) ** 2 <= kth)

@@ -50,13 +50,9 @@ def _check_finite(m, what):
 
 def _apply_sign_rule(vecs):
     """Flip eigenvector columns so the first entry above 1e-12 is positive."""
-    vecs = vecs.copy()
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        big = np.nonzero(np.abs(col) > _SIGN_RULE_TOL)[0]
-        if big.size and col[big[0]] < 0.0:
-            vecs[:, j] = -col
-    return vecs
+    big = np.abs(vecs) > _SIGN_RULE_TOL
+    first_big = big & (np.cumsum(big, axis=0) == 1)
+    return np.where((first_big & (vecs < 0.0)).any(axis=0), -vecs, vecs)
 
 
 def sym_eigen(m):
@@ -75,11 +71,8 @@ def sym_eigen(m):
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolver did not converge: {exc}") from exc
     vecs = _apply_sign_rule(vecs)
-    order = sorted(range(len(vals)), key=lambda j: (-vals[j], tuple(-vecs[:, j])))
-    return EigenDecomposition(
-        eigenvalues=vals[order].copy(),
-        eigenvectors=vecs[:, order].copy(),
-    )
+    order = np.lexsort(np.vstack([-vecs[::-1], -vals]))
+    return EigenDecomposition(vals[order], np.ascontiguousarray(vecs[:, order]))
 
 
 def default_eig_floor(eigenvalues):

@@ -129,6 +129,45 @@ def knn_scores_oracle(train_pts, train_labels, query_pts, n_neighbors):
     return out
 
 
+def knn_run_start_oracle(ts, q, m):
+    """The lane-by-lane binary search that found each query's run start in
+    ``tirex.evaluation`` before the midpoint search: the first l in
+    [i - m, i] whose ts[l + m] is no nearer than ts[l] in rounded
+    differences.  A lane leaves the search once lo == hi, so ts[mid + m]
+    stays in range."""
+    n = ts.size
+    i = np.searchsorted(ts, q)
+    lo, hi = np.maximum(i - m, 0), np.minimum(i, n - m)
+    live = np.flatnonzero(lo < hi)
+    with np.errstate(over="ignore"):  # the differences of +-1.7e308 overflow
+        while live.size:
+            mid, ql = (lo[live] + hi[live]) // 2, q[live]
+            shift = ql - ts[mid] > ts[mid + m] - ql
+            lo[live[shift]] = mid[shift] + 1
+            hi[live[~shift]] = mid[~shift]
+            live = live[lo[live] < hi[live]]
+    return lo
+
+
+def sign_rule_oracle(vecs):
+    """The column loop ``tirex.linalg`` ran before its sign rule became one
+    array expression: flip each column whose first entry above 1e-12 in
+    magnitude is negative."""
+    vecs = vecs.copy()
+    for j in range(vecs.shape[1]):
+        col = vecs[:, j]
+        big = np.nonzero(np.abs(col) > 1e-12)[0]
+        if big.size and col[big[0]] < 0.0:
+            vecs[:, j] = -col
+    return vecs
+
+
+def eigen_order_oracle(vals, vecs):
+    """The Python sort ``tirex.linalg.sym_eigen`` ran before ``np.lexsort``:
+    eigenvalues descending, ties by the lexicographically larger column."""
+    return sorted(range(len(vals)), key=lambda j: (-vals[j], tuple(-vecs[:, j])))
+
+
 def write_csv_oracle(ds, path):
     """``tirex.data.write_csv`` as one ``csv.writer`` row per data row: the
     byte-for-byte reference for its joined body."""

@@ -25,7 +25,7 @@ from tirex.evaluation import (
 )
 from tirex.synthetic import MixtureSpec, UniformLaw, model_preset, true_projector
 
-from oracles import knn_scores_oracle, serial_pools, set_cpus
+from oracles import knn_run_start_oracle, knn_scores_oracle, serial_pools, set_cpus
 
 # ---------------------------------------------------------------------------
 # AM risk
@@ -347,6 +347,64 @@ def test_knn_full_scan_takes_exactly_the_queries_with_tied_neighbours(case):
     tied = np.count_nonzero(d2 <= kth, axis=1) > m
     assert np.array_equal(np.concatenate(scanned or [np.empty(0)]), queries[tied])
 
+
+
+_BIG = np.finfo(float).max
+_TINY = 2.0**-1074  # the smallest subnormal
+# increasing maps from small integers to one scale of training values and
+# queries: adjacent floats (2 apart) around 1e16, the largest floats of
+# either sign (their differences overflow), subnormals, and subnormals
+# beside the largest floats
+_RUN_SCALES = {
+    "half-integer": lambda v: v / 2.0,
+    "1e16": lambda v: 1e16 + 2.0 * v,
+    "-1e16": lambda v: -1e16 + 2.0 * v,
+    "near overflow": lambda v: np.sign(v) * (_BIG - 2.0**971 * (13 - abs(v))),
+    "subnormal": lambda v: v * _TINY,
+    "mixed": lambda v: v * _TINY if abs(v) < 7 else np.sign(v) * (_BIG - 2.0**971 * (13 - abs(v))),
+}
+
+
+@st.composite
+def _run_start_case(draw):
+    scale = _RUN_SCALES[draw(st.sampled_from(sorted(_RUN_SCALES)))]
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, n))
+    ts = np.sort([scale(v) for v in draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))])
+    # queries reach past the training range on both sides
+    queries = np.array([scale(v) for v in draw(st.lists(st.integers(-12, 12), min_size=1, max_size=20))])
+    return ts, queries, m
+
+
+def _certified(ts, q, l, m):
+    """The certificate of ``evaluation._knn_runs``: both points just outside
+    ts[l : l + m] are strictly farther from q than its farther end."""
+    n = ts.size
+    with np.errstate(over="ignore"):  # squares of +-1.7e308 differences
+        kth = np.maximum((q - ts[l]) ** 2, (q - ts[l + m - 1]) ** 2)
+        spill = (l > 0) & ((q - ts[np.maximum(l - 1, 0)]) ** 2 <= kth)
+        spill |= (l + m < n) & ((q - ts[np.minimum(l + m, n - 1)]) ** 2 <= kth)
+    return ~spill
+
+
+@given(_run_start_case())
+# adjacent floats: the rounded midpoint of 1 + 2^-52 and 1 + 2^-51 is the
+# query itself, whose nearest point is 1 + 2^-51 alone
+@example((np.array([1.0 + 2.0**-52, 1.0 + 2.0**-51]), np.array([1.0 + 2.0**-51]), 1))
+# halving 3 and 7 subnormals rounds both up, to the query 6; distances this
+# small square to 0, so no start is certified
+@example((np.array([3 * _TINY, 7 * _TINY, 2.0**1023]), np.array([6 * _TINY]), 1))
+@settings(max_examples=500, deadline=None)
+def test_run_starts_take_the_binary_search_run_wherever_it_is_certified(case):
+    # the midpoint search compares exact midpoints, the binary search rounded
+    # differences; they can part only where rounding ties the two distances,
+    # and there no start is certified, so such a query takes the full scan
+    # under both, and the run start reaches no output
+    ts, queries, m = case
+    got, want = evaluation._run_starts(ts, queries, m), knn_run_start_oracle(ts, queries, m)
+    certified = _certified(ts, queries, want, m)
+    assert np.array_equal(_certified(ts, queries, got, m), certified)
+    assert np.array_equal(got[certified], want[certified])
 
 def _knn_peak_bytes(train, labels, queries):
     tracemalloc.start()

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import tirex.linalg
 from tirex.errors import ConvergenceError, InvalidInputError, RankDeficiencyError
@@ -11,6 +14,8 @@ from tirex.linalg import (
     sym_eigen,
     symmetrize,
 )
+
+from oracles import eigen_order_oracle, sign_rule_oracle
 
 RECON_TOL = 1e-10
 ORTH_TOL = 1e-10
@@ -228,3 +233,62 @@ def test_symmetrize_keeps_a_finite_matrix_finite():
     assert np.array_equal(symmetrize(big), big)
     m = np.random.default_rng(5).standard_normal((6, 6)) * 1e3
     assert symmetrize(m).tobytes() == ((m + m.T) * 0.5).tobytes()
+
+
+# entries around the sign rule's 1e-12 threshold, both zeros included, so a
+# column's first large entry is often negative and preceded by small ones
+_SIGN_ENTRIES = st.sampled_from([-1.0, -0.5, -1e-12, -1e-13, -0.0, 0.0, 1e-13, 1e-12, 0.5, 1.0])
+
+
+@given(arrays(float, st.tuples(st.integers(1, 8), st.integers(1, 8)), elements=_SIGN_ENTRIES))
+@settings(max_examples=300, deadline=None)
+def test_sign_rule_matches_the_column_loop_bit_for_bit(vecs):
+    got = tirex.linalg._apply_sign_rule(vecs)
+    assert got.tobytes() == sign_rule_oracle(vecs).tobytes()  # sign bits of zeros too
+
+
+@st.composite
+def _tied_spectrum(draw):
+    """A symmetric matrix with exactly repeated eigenvalues, or the
+    rank-deficient product B B^T of a narrow matrix B of -1, 0 and 1."""
+    p = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        vals = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=p, max_size=p)))
+        return (q * vals) @ q.T
+    b = rng.integers(-1, 2, (p, draw(st.integers(1, p)))).astype(float)
+    return b @ b.T
+
+
+def _sym_eigen_oracle(m):
+    vals, vecs = np.linalg.eigh(symmetrize(m))
+    vecs = sign_rule_oracle(vecs)
+    order = eigen_order_oracle(vals, vecs)
+    return vals[order], vecs[:, order]
+
+
+@given(_tied_spectrum())
+@settings(max_examples=300, deadline=None)
+def test_sym_eigen_matches_the_sorted_loop_on_repeated_eigenvalues(m):
+    e = sym_eigen(m)
+    vals, vecs = _sym_eigen_oracle(m)
+    assert e.eigenvalues.tobytes() == vals.tobytes()
+    assert e.eigenvectors.tobytes() == vecs.tobytes()
+
+
+@given(st.integers(1, 6).flatmap(lambda p: st.tuples(
+    arrays(float, p, elements=st.sampled_from([-1.0, 0.0, 1.0])),
+    arrays(float, (p, p), elements=_SIGN_ENTRIES))))
+@settings(max_examples=300, deadline=None)
+def test_tie_order_matches_the_sorted_loop_on_exact_ties(case):
+    # eigh replaced by fixed arrays: many equal eigenvalues, and columns that
+    # tie on their first entries, so every key of the order is reached
+    vals, vecs = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tirex.linalg.np.linalg, "eigh", lambda m: (vals, vecs))
+        e = sym_eigen(np.eye(vals.size))
+    signed = sign_rule_oracle(vecs)
+    order = eigen_order_oracle(vals, signed)
+    assert e.eigenvalues.tobytes() == vals[order].tobytes()
+    assert e.eigenvectors.tobytes() == signed[:, order].tobytes()

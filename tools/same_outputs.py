@@ -16,7 +16,9 @@ The cases are the four benchmark workloads of ``perfbench/run.py`` at seeds
 1 and 2, a five-replication ``sweep`` on model B at ``--jobs`` 2 and 64 (as
 many threads as the CPUs allow), six ``verify-process`` runs (two with
 failing entries, one of them 19 440 covariance rows written in three CSV row
-blocks), and a ``fit`` of a CSV whose header names the target twice.
+blocks), two ``classify`` runs that reach the k-NN full scan (model C at
+d = 1, where every query has tied neighbours, and model B at d = 2), and a
+``fit`` of a CSV whose header names the target twice.
 """
 
 import argparse
@@ -43,6 +45,13 @@ VERIFY_ARGVS = [
     ["--p", "4", "--order", "2", "--k", "20"],
     ["--p", "5", "--order", "2", "--n", "400", "--k", "40", "--reps", "100", "--seed", "1"],
     ["--p", "6", "--order", "2", "--n", "400", "--k", "40", "--reps", "100", "--seed", "1"],
+]
+
+CLASSIFY_ARGVS = [
+    ["--model", "C", "--n", "2000", "--d", "1", "--quantile-level", "0.9", "--folds", "3",
+     "--k-grid", "40,200", "--seed", "1"],
+    ["--model", "B", "--n", "3000", "--methods", "tirex2,pca", "--d", "2",
+     "--quantile-level", "0.9", "--folds", "3", "--k-grid", "100,600", "--seed", "2"],
 ]
 
 DUP_CSV = "y,y,x\n" + "".join(f"{(i * 7) % 11},{(i * 5) % 13},{(i * 3) % 17}\n"
@@ -73,9 +82,12 @@ def all_cases():
     verify = [(f"verify-process {' '.join(argv)}", {},
                [["verify-process"] + argv + ["--out", "v.csv", "--json-out", "v.json"]])
               for argv in VERIFY_ARGVS]
+    classify = [(f"classify {' '.join(argv)}", {},
+                 [["classify"] + argv + ["--out", "c.csv", "--json-out", "c.json"]])
+                for argv in CLASSIFY_ARGVS]
     dup = ("fit --in dup.csv", {"dup.csv": DUP_CSV},
            [["fit", "--in", "dup.csv", "--method", "pca", "--d", "1", "--out", "o.json"]])
-    return benchmark_cases() + sweeps + verify + [dup]
+    return benchmark_cases() + sweeps + verify + classify + [dup]
 
 
 def run_case(src, case):
