@@ -290,17 +290,20 @@ _TOO_LARGE = "covariates too large: their second moment overflows"
 #: Most rows in one block of the covariance, of whitening, of the CSV
 #: compaction, of sampling and of CSV writing (see ``row_blocks``).
 WHITEN_BLOCK_ROWS = 8192
+#: Most numbers in one block of the k-NN full scan and of the process check's
+#: covariance gate, whose std holds two more (2^18 raised the latter's peak).
+BLOCK_ELEMENTS = 2**16
 
 
-def row_blocks(n):
-    """(lo, hi) bounds of ceil(n / WHITEN_BLOCK_ROWS) row blocks of equal
-    size within one row, cut at ``n * i // blocks``.
+def row_blocks(n, rows=None):
+    """(lo, hi) bounds of ceil(n / max(rows, 1)) row blocks of equal size
+    within one row, cut at ``n * i // blocks``; None reads WHITEN_BLOCK_ROWS.
 
     Cut so, the blocked whitening equals the one-shot product bit for bit
     with OpenBLAS, which fixed-size blocks with a short last block did not
     (tests/test_data.py checks it).
     """
-    blocks = -(-n // WHITEN_BLOCK_ROWS)
+    blocks = -(-n // max(1, WHITEN_BLOCK_ROWS if rows is None else rows))
     return [(n * i // blocks, n * (i + 1) // blocks) for i in range(blocks)]
 
 

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng as rngmod
-from .data import empirical_quantile
+from .data import BLOCK_ELEMENTS, empirical_quantile, row_blocks
 from .errors import InvalidInputError, NumericalError
 from .estimators import FREE_K_METHODS, PreparedFit, fit
 from .linalg import frobenius_dist_sq
@@ -31,8 +31,6 @@ from .synthetic import sample, true_projector
 
 DEFAULT_NEIGHBORS = 5
 TEST_FRACTION = 0.2
-# distances held at once by the k-NN full scan (2 MiB of float64)
-KNN_CHUNK_ELEMENTS = 2**18
 
 
 # ---------------------------------------------------------------------------
@@ -87,12 +85,12 @@ def knn_scores(train_pts, train_labels, query_pts, n_neighbors=DEFAULT_NEIGHBORS
 
     Distance ties at the boundary resolve to the smaller training index; the
     hard prediction downstream is score > 0.5, so a tied 0.5 vote predicts
-    negative.  The full scan, O(n_train * (d + 1)) per query in chunks of
-    about ``KNN_CHUNK_ELEMENTS`` distances, selects rather than sorts: a
-    partial selection finds the m-th smallest squared distance (m =
-    ``n_neighbors``), every strictly closer point is taken, and the
-    remaining places go to the points at exactly that distance in index
-    order, the set a stable sort would put first.  For d <= 7 it adds the
+    negative.  The full scan, O(n_train * (d + 1)) per query, in blocks of
+    queries of at most ``data.BLOCK_ELEMENTS`` coordinate differences (one
+    query at least), selects rather than sorts: a partial selection finds
+    the m-th smallest squared distance (m = ``n_neighbors``), every strictly
+    closer point is taken, and the rest go to the points at exactly that
+    distance in index order, as a stable sort would.  For d <= 7 it adds the
     squared column differences one column at a time, bit-identical to
     numpy's in-order sum of such short rows; from d = 8 on numpy's sum
     groups the terms differently and is kept, so the tie sets do not move.
@@ -118,6 +116,8 @@ def knn_scores(train_pts, train_labels, query_pts, n_neighbors=DEFAULT_NEIGHBORS
         qp = qp[:, None]
     if tp.shape[0] == 0:
         raise InvalidInputError("empty training set")
+    if tp.shape[1] == 0:
+        raise InvalidInputError("points must have at least one coordinate")
     if qp.shape[1] != tp.shape[1]:
         raise InvalidInputError("query and training points must share a dimension")
     positive = np.asarray(train_labels).astype(bool)
@@ -146,15 +146,14 @@ def _sq_distances(block, tp):
 
 def _knn_brute(tp, positive, qp, m):
     out = np.empty(qp.shape[0])
-    chunk = max(1, KNN_CHUNK_ELEMENTS // tp.shape[0])
-    for start in range(0, qp.shape[0], chunk):
-        d2 = _sq_distances(qp[start : start + chunk], tp)
+    for lo, hi in row_blocks(qp.shape[0], BLOCK_ELEMENTS // tp.size):
+        d2 = _sq_distances(qp[lo:hi], tp)
         kth = np.partition(d2, m - 1, axis=1)[:, m - 1, None].copy()
         taken, tied = d2 < kth, d2 == kth
         del d2  # before the int64 cumsum, which is as large
         need = m - np.count_nonzero(taken, axis=1)
         taken |= tied & (np.cumsum(tied, axis=1) <= need[:, None])
-        out[start : start + chunk] = np.count_nonzero(taken & positive, axis=1) / m
+        out[lo:hi] = np.count_nonzero(taken & positive, axis=1) / m
     return out
 
 

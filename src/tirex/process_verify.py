@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .data import ceil_index, descending_order, row_blocks
+from .data import BLOCK_ELEMENTS, ceil_index, descending_order, row_blocks
 from .errors import InvalidInputError, check_size
 from .estimators import tail_increments
 
@@ -108,10 +108,6 @@ MEAN_ENTRY = np.dtype([("u", float), ("component", np.int64), ("mean", float),
 COV_ENTRY = np.dtype([("u_s", float), ("u_t", float), ("row", np.int64), ("col", np.int64),
                       ("empirical", float), ("theoretical", float), ("deviation", float),
                       ("se", float), ("ok", bool)])
-
-#: Most cross products one covariance ``_gate`` call reduces.  ``_gate``'s
-#: std holds two more arrays of this size; 2^18 raised the benchmark's peak.
-GATE_BLOCK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -212,10 +208,10 @@ def _covariance_entries(centered, grid, limit_cov):
     """The covariance gate's records, for u-pairs s <= t and then row a and
     column b, from the centered replications (reps x u-grid x q).
 
-    The cross products of one (s, t) go to ``_gate`` in blocks of rows a of
-    at most ``GATE_BLOCK_ELEMENTS`` (at least one row): per entry the same
-    sequential sums over the replications as over the whole (reps x q x q)
-    product array, so the bits do not depend on the block.
+    The cross products of one (s, t) go to ``_gate`` in ``row_blocks`` of
+    rows a, at most ``data.BLOCK_ELEMENTS`` products (one row at least): per
+    entry the same sequential sums over the replications as over the whole
+    (reps x q x q) product array, so the bits do not depend on the block.
     """
     n_reps, n_u, q = centered.shape
     us, ut = np.triu_indices(n_u)
@@ -224,12 +220,12 @@ def _covariance_entries(centered, grid, limit_cov):
     entries["u_s"], entries["u_t"] = grid[us, None, None], grid[ut, None, None]
     entries["row"], entries["col"] = np.arange(q)[:, None], np.arange(q)
     entries["theoretical"] = np.minimum(grid[us], grid[ut])[:, None, None] * limit_cov
-    rows = max(1, GATE_BLOCK_ELEMENTS // (n_reps * q))
+    blocks = row_blocks(q, BLOCK_ELEMENTS // (n_reps * q))
     for pair, s, t in zip(entries, us, ut):
-        for a in range(0, q, rows):
-            block = pair[a:a + rows]
+        for lo, hi in blocks:
+            block = pair[lo:hi]
             block["empirical"], block["deviation"], block["se"], block["ok"] = _gate(
-                centered[:, s, a:a + rows, None] * centered[:, t, None, :], block["theoretical"])
+                centered[:, s, lo:hi, None] * centered[:, t, None, :], block["theoretical"])
     return entries.ravel()
 
 
@@ -245,7 +241,8 @@ def covariance_check(cfg):
     come from the one rule in ``_gate``.  ``rng.replicate`` runs the
     replications on one thread per CPU; the draws and the arithmetic release
     the GIL for most of each.  Beside the (reps x u-grid x q) replications
-    and the report, the gate holds one block of cross products at a time,
+    and the report, the gate holds one block of at most
+    ``data.BLOCK_ELEMENTS`` cross products at a time (one row at least),
     and the replications are centered in place.
     """
     grid = list(cfg.u_grid)

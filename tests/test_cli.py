@@ -109,6 +109,30 @@ def test_fit_eigensolver_failure_is_exit_2(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "f.json").exists()
 
 
+def test_classify_fold_eigensolver_failure_is_exit_2(tmp_path, monkeypatch, capsys):
+    import tirex.linalg
+
+    # the eigensolves run in this order: fold 0's whitening, then its
+    # candidate matrices in ascending k; call 2 is k = 20 of fold 0, and the
+    # run stops once fold 0's grid is fitted, before any k-NN vote
+    real, calls = np.linalg.eigh, []
+
+    def fail_second(m):
+        calls.append(m.shape)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(m)
+
+    monkeypatch.setattr(tirex.linalg.np.linalg, "eigh", fail_second)
+    out = tmp_path / "c.csv"
+    code = run(["classify", "--model", "A", "--n", "400", "--methods", "tirex1", "--d", "1",
+                "--quantile-level", "0.9", "--folds", "2", "--k-grid", "20,80", "--seed", "1",
+                "--out", str(out)])
+    assert code == 2 and len(calls) == 3
+    assert capsys.readouterr().err.startswith("tirex: numerical failure: ")
+    assert not out.exists()
+
+
 def test_fit_missing_file_is_exit_1(tmp_path, capsys):
     assert run(["fit", "--in", str(tmp_path / "nope.csv"), "--method", "tirex1",
                 "--k", "5", "--out", str(tmp_path / "f.json")]) == 1

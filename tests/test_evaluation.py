@@ -178,6 +178,11 @@ def test_knn_empty_training_set():
         knn_scores(np.empty((0, 2)), np.empty(0), np.zeros((1, 2)), 1)
 
 
+def test_knn_zero_dimensional_points():
+    with pytest.raises(InvalidInputError):
+        knn_scores(np.empty((5, 0)), np.ones(5), np.empty((3, 0)), 2)
+
+
 def test_knn_neighbors_bound():
     with pytest.raises(InvalidInputError):
         knn_scores(np.zeros((3, 1)), np.zeros(3), np.zeros((1, 1)), 4)
@@ -444,6 +449,18 @@ def test_knn_working_set_is_a_few_chunks_when_every_query_falls_back():
     queries = rng.integers(-3, 4, size=(800, 1)).astype(float)
     labels = rng.random(3200) < 0.1
     assert _knn_peak_bytes(train, labels, queries) < KNN_PEAK_BOUND
+
+
+@pytest.mark.parametrize("d", [8, 30])
+def test_knn_full_scan_holds_one_element_budget_at_any_dimension(d):
+    # a block holds at most data.BLOCK_ELEMENTS (2**16) coordinate
+    # differences, one query at least: 1.5 MiB when one query's 6400 x 30
+    # differences exceed it, against the 18 and 61 MiB of blocks sized by
+    # distances alone
+    rng = np.random.default_rng(0)
+    train, queries = rng.standard_normal((6400, d)), rng.standard_normal((1600, d))
+    labels = rng.random(6400) < 0.1
+    assert _knn_peak_bytes(train, labels, queries) < 4 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -304,15 +304,15 @@ def test_mean_entries_equal_the_inline_gate_oracle(case):
 @given(st.one_of(_centered_replications(), _centered_replications(center=False)))
 @settings(max_examples=100, deadline=None)
 def test_covariance_entries_equal_the_product_array_oracle(case):
-    # cross products gated one row at a time, two rows at a time (a short
-    # last block when q is odd), all at once and at the module's budget give
+    # cross products gated one row at a time, two rows at a time (one block
+    # of one row when q is odd), all at once and at the module's budget give
     # the bits of the whole (reps x q x q) product array
     centered, grid, limit_cov = case
     n_reps, _, q = centered.shape
     want = covariance_entries_oracle(centered, grid, limit_cov)
-    for budget in (1, 2 * n_reps * q, n_reps * q * q + 1, process_verify.GATE_BLOCK_ELEMENTS):
+    for budget in (1, 2 * n_reps * q, n_reps * q * q + 1, process_verify.BLOCK_ELEMENTS):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(process_verify, "GATE_BLOCK_ELEMENTS", budget)
+            mp.setattr(process_verify, "BLOCK_ELEMENTS", budget)
             got = _covariance_entries(centered, grid, limit_cov)
         assert len(got) == len(want)
         assert _bits(got) == _bits(want)

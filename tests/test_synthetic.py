@@ -254,6 +254,18 @@ def test_expected_abs_r_theta_zero_is_zero():
     assert expected_abs_R(spec, 20.0, 500, seed=1) == 0.0
 
 
+def test_tail_ratios_are_zero_where_the_survival_peak_underflows():
+    # S1's integrand exp(-alpha1 y / v) peaks at v = b; on model A
+    # (alpha1 = b = 10) that is exp(-800) at y = 800, which underflows to 0,
+    # so every ratio over S1 is 0, not NaN
+    spec, _ = model_preset("A")
+    assert 0.0 < s1_marginal(spec, 700.0) < 1e-300
+    assert s1_marginal(spec, 800.0) == 0.0
+    ratios = tci_ratios(spec, 800.0, np.array([1.0]), np.array([0.0]))
+    assert ratios.r == 0.0 and ratios.r_tilde == 0.0
+    assert expected_abs_R(spec, 800.0, 1000, seed=1) == 0.0
+
+
 def test_model_preset_builds_a_new_spec_per_call():
     first, n = model_preset("B")
     first.pi2[:] = 0.0  # the weight arrays are mutable

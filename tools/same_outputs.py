@@ -16,9 +16,12 @@ The cases are the four benchmark workloads of ``perfbench/run.py`` at seeds
 1 and 2, a five-replication ``sweep`` on model B at ``--jobs`` 2 and 64 (as
 many threads as the CPUs allow), six ``verify-process`` runs (two with
 failing entries, one of them 19 440 covariance rows written in three CSV row
-blocks), two ``classify`` runs that reach the k-NN full scan (model C at
-d = 1, where every query has tied neighbours, and model B at d = 2), and a
-``fit`` of a CSV whose header names the target twice.
+blocks), three ``classify`` runs that reach the k-NN full scan (model C at
+d = 1, where every query has tied neighbours, model B at d = 2, and model B
+at d = 10, where every query takes the d > 7 distance kernel), two
+``tci-ratio`` runs (the pointwise ratios on model C, and ``E|R|`` on model
+A up to a y whose survival underflows to 0), and a ``fit`` of a CSV whose
+header names the target twice.
 """
 
 import argparse
@@ -52,6 +55,14 @@ CLASSIFY_ARGVS = [
      "--k-grid", "40,200", "--seed", "1"],
     ["--model", "B", "--n", "3000", "--methods", "tirex2,pca", "--d", "2",
      "--quantile-level", "0.9", "--folds", "3", "--k-grid", "100,600", "--seed", "2"],
+    ["--model", "B", "--n", "3000", "--methods", "tirex2,pca", "--d", "10",
+     "--quantile-level", "0.9", "--folds", "3", "--k-grid", "300,1200", "--seed", "3"],
+]
+
+TCI_ARGVS = [
+    ["--model", "C", "--y", "2", "--v", "1", "--w", "0"],
+    ["--model", "A", "--expected-abs-r", "--y-grid", "20,50,800", "--n-mc", "20000",
+     "--seed", "1"],
 ]
 
 DUP_CSV = "y,y,x\n" + "".join(f"{(i * 7) % 11},{(i * 5) % 13},{(i * 3) % 17}\n"
@@ -85,9 +96,11 @@ def all_cases():
     classify = [(f"classify {' '.join(argv)}", {},
                  [["classify"] + argv + ["--out", "c.csv", "--json-out", "c.json"]])
                 for argv in CLASSIFY_ARGVS]
+    tci = [(f"tci-ratio {' '.join(argv)}", {}, [["tci-ratio"] + argv + ["--out", "t.json"]])
+           for argv in TCI_ARGVS]
     dup = ("fit --in dup.csv", {"dup.csv": DUP_CSV},
            [["fit", "--in", "dup.csv", "--method", "pca", "--d", "1", "--out", "o.json"]])
-    return benchmark_cases() + sweeps + verify + classify + [dup]
+    return benchmark_cases() + sweeps + verify + classify + tci + [dup]
 
 
 def run_case(src, case):
