@@ -24,9 +24,9 @@ cross-checked against brute-force double sums in the tests.
 
 Every tail kernel here takes covariate rows already in descending target
 order and reads the first k; the caller that owns the targets orders them
-with ``data.descending_order``.  So ``PreparedFit`` whitens only those k
-rows: beside the covariates, a fit holds them and one row block, and spends
-O(n p^2) only on the covariance, which ``data.moments`` sums over row blocks.
+with ``data.descending_order``.  ``PreparedFit`` (one dataset, any method)
+whitens only those k rows: a fit holds them and one row block beside the
+covariates, and spends O(n p^2) only on the covariance (``data.moments``).
 
 ``tail_increments`` holds the processes' summands, the kernel that
 ``process_verify`` checks against the Gaussian limit.  The M2 recurrence
@@ -36,6 +36,7 @@ sums (``tests/oracles.py``).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -44,6 +45,7 @@ from .data import descending_order, moments, standardize
 from .errors import InvalidInputError, NumericalError
 from .linalg import (
     EigenDecomposition,
+    check_floor_and_ridge,
     orthonormal_columns,
     projector_from_basis,
     sym_eigen,
@@ -201,21 +203,6 @@ class SdrFit:
         }
 
 
-def _validate_method(method):
-    if method not in METHODS:
-        raise InvalidInputError(
-            f"unknown method {method!r}; expected one of {', '.join(METHODS)}"
-        )
-
-
-def _default_d(method, d):
-    if d is not None:
-        return int(d)
-    if method in _FIRST_ORDER_METHODS:
-        return 1
-    raise InvalidInputError(f"method {method!r} requires an explicit d")
-
-
 def _effective_k(method, k, n):
     """The k a method fits at: cume/cuve pin it to n, the PCA variants have
     none, and tirex1/tirex2 need an explicit 1 <= k <= n."""
@@ -250,72 +237,88 @@ def _sdr_fit(method, k, d, candidate, mean, whitener):
 
 
 class PreparedFit:
-    """One method on one dataset, prepared once and fitted at any k.
+    """One dataset, prepared once and fitted by any method at any k.
 
-    The covariance and its whitener are computed and the target is sorted
-    here, once; the dataset's covariates are held, not a whitened copy of
-    them.  Each ``fit(k)`` whitens only the k rows of the largest targets,
+    The first fit that whitens (tirex1, tirex2, cume, cuve) computes the
+    covariance, its whitener and the descending target order, which are
+    kept; the PCA variants never whiten, so a singular covariance fails only
+    the methods that do.  The covariates are held, not a whitened copy.
+    ``fit(method, k, d)`` whitens only the k rows of the largest targets,
     O(k p^2), and builds from them the O(k p^2) (first-order) or
     O(k p (p + b)) (second-order, block size b) candidate matrix and a
     p x p eigensolve; ``fit_grid`` whitens the rows of its largest k once
-    and builds the candidate matrices of the whole grid in one pass.  The
-    PCA variants have no k and are fitted here outright.  Raises
-    InvalidInputError for an unknown method or a bad d, and NumericalError
-    when the covariance cannot be whitened.
+    and builds the candidate matrices of the whole grid in one pass.
+    Raises InvalidInputError for a bad eig_floor or ridge, or per fit for an
+    unknown method, a bad k or a bad d (in that order, before whitening),
+    and NumericalError when the covariance cannot be whitened.
     """
 
-    def __init__(self, ds, method, d=None, eig_floor=None, ridge=0.0):
-        _validate_method(method)
-        d = _default_d(method, d)
-        if not (1 <= d <= ds.p):
-            raise InvalidInputError(f"d must satisfy 1 <= d <= p={ds.p}, got {d}")
-        self.method, self.d, self.n = method, d, ds.n
-        self._first_order = method in _FIRST_ORDER_METHODS
-        if method in _PCA_METHODS:
-            # the covariance (pca) or raw second moment (svd_pca), divide by n
-            mean, moment = moments(ds.x, centered=method == "pca")
-            self._pca = _sdr_fit(method, None, d, moment, mean, None)
-        else:
-            self._std = standardize(ds, eig_floor=eig_floor, ridge=ridge)
-            self._order = descending_order(ds.y)
+    def __init__(self, ds, eig_floor=None, ridge=0.0):
+        check_floor_and_ridge(eig_floor, ridge)
+        self._ds, self._eig_floor, self._ridge = ds, eig_floor, ridge
 
-    def fit(self, k=None):
+    @cached_property
+    def _std(self):
+        return standardize(self._ds, eig_floor=self._eig_floor, ridge=self._ridge)
+
+    @cached_property
+    def _order(self):
+        return descending_order(self._ds.y)
+
+    def _checked(self, method, ks, d):
+        """``_effective_k`` of each of ``ks``, and d (1 by default for the
+        first-order methods only), checking the method, then k, then d."""
+        if method not in METHODS:
+            raise InvalidInputError(
+                f"unknown method {method!r}; expected one of {', '.join(METHODS)}"
+            )
+        ks = [_effective_k(method, k, self._ds.n) for k in ks]
+        if d is None and method not in _FIRST_ORDER_METHODS:
+            raise InvalidInputError(f"method {method!r} requires an explicit d")
+        d = 1 if d is None else int(d)
+        if not (1 <= d <= self._ds.p):
+            raise InvalidInputError(f"d must satisfy 1 <= d <= p={self._ds.p}, got {d}")
+        return ks, d
+
+    def fit(self, method, k=None, d=None):
         """The fit at k: cume/cuve ignore k and use n, the PCA variants
         ignore it, tirex1/tirex2 need 1 <= k <= n."""
-        k = _effective_k(self.method, k, self.n)
+        (k,), d = self._checked(method, [k], d)
         if k is None:  # a PCA variant
-            return self._pca
-        matrix = tirex1_matrix if self._first_order else tirex2_matrix
-        return self._fit_candidate(k, matrix(self._top_rows(k), k))
+            return self._pca_fit(method, d)
+        matrix = tirex1_matrix if method in _FIRST_ORDER_METHODS else tirex2_matrix
+        candidate = matrix(self._top_rows(k), k)
+        return _sdr_fit(method, k, d, candidate, self._std.mean, self._std.whitener)
 
-    def fit_grid(self, k_grid):
+    def fit_grid(self, method, k_grid, d=None):
         """The fits at every k of ``k_grid`` (any order, repeats allowed), one
         entry per grid position, with the candidate matrices built in one
         pass.  An entry whose eigensolve failed holds the NumericalError it
         raised, so a failure spoils only its own k."""
-        ks = [_effective_k(self.method, k, self.n) for k in k_grid]
-        if self.method in _PCA_METHODS:
-            return [self._pca] * len(ks)
+        ks, d = self._checked(method, k_grid, d)
+        if method in _PCA_METHODS:
+            return [self._pca_fit(method, d)] * len(ks)
         distinct = sorted(set(ks))
         k_max = max(distinct, default=0)
         candidates = _prefix_grams(self._top_rows(k_max), distinct,
-                                   second_order=not self._first_order)
+                                   second_order=method not in _FIRST_ORDER_METHODS)
         fits = {}
         for k, candidate in zip(distinct, candidates):
             try:
-                fits[k] = self._fit_candidate(k, candidate)
+                fits[k] = _sdr_fit(method, k, d, candidate, self._std.mean, self._std.whitener)
             except NumericalError as exc:
                 fits[k] = exc
         return [fits[k] for k in ks]
+
+    def _pca_fit(self, method, d):
+        # the covariance (pca) or raw second moment (svd_pca), divide by n
+        mean, moment = moments(self._ds.x, centered=method == "pca")
+        return _sdr_fit(method, None, d, moment, mean, None)
 
     def _top_rows(self, k):
         """The whitened covariates of the k largest targets, in descending
         target order: the only rows a candidate matrix at k reads."""
         return self._std.whiten(self._order[:k])
-
-    def _fit_candidate(self, k, candidate):
-        return _sdr_fit(self.method, k, self.d, candidate, self._std.mean,
-                        self._std.whitener)
 
 
 def fit(ds, method, k=None, d=None, eig_floor=None, ridge=0.0):
@@ -323,9 +326,7 @@ def fit(ds, method, k=None, d=None, eig_floor=None, ridge=0.0):
 
     tirex1/tirex2 need 1 <= k <= n (the number of top order statistics);
     cume/cuve force k = n; the PCA variants ignore k.  d defaults to 1 for
-    the first-order methods and must be given otherwise.  To fit at many k,
-    prepare once with PreparedFit.
+    the first-order methods and must be given otherwise.  To fit several
+    methods or many k on one dataset, prepare it once with PreparedFit.
     """
-    _validate_method(method)
-    _effective_k(method, k, ds.n)  # a bad k is reported before whitening runs
-    return PreparedFit(ds, method, d, eig_floor=eig_floor, ridge=ridge).fit(k)
+    return PreparedFit(ds, eig_floor, ridge).fit(method, k, d)

@@ -25,8 +25,8 @@ import numpy as np
 from . import rng as rngmod
 from .data import BLOCK_ELEMENTS, empirical_quantile, row_blocks
 from .errors import InvalidInputError, NumericalError
-from .estimators import FREE_K_METHODS, PreparedFit, fit
-from .linalg import frobenius_dist_sq
+from .estimators import FREE_K_METHODS, PreparedFit
+from .linalg import frobenius_dist_sq, projector_from_basis
 from .synthetic import sample, true_projector
 
 DEFAULT_NEIGHBORS = 5
@@ -244,15 +244,15 @@ def sweep_cell(k, projectors, truth):
     return SweepCell(k, bias_sq, variance, mse, len(mats), failures)
 
 
-def _rep_projectors(spec, n, method, d, k_grid, seed, rep):
-    """Projector matrices for one replication, one entry per grid position
-    (None marks a numerical failure, of the sample or of a fit)."""
+def _rep_bases(spec, n, method, d, k_grid, seed, rep):
+    """Whitened p x d bases for one replication, one entry per grid position
+    (None marks a numerical failure: of the sample or the whitening, which
+    fails every k, or of one k's eigensolve)."""
     try:
-        prepared = PreparedFit(sample(spec, n, seed, stream=rep), method, d)
+        fits = PreparedFit(sample(spec, n, seed, stream=rep)).fit_grid(method, k_grid, d)
     except NumericalError:
         return [None] * len(k_grid)
-    return [None if isinstance(f, NumericalError) else f.projector_whitened
-            for f in prepared.fit_grid(k_grid)]
+    return [None if isinstance(f, NumericalError) else f.basis_whitened for f in fits]
 
 
 def sweep(spec, n, method, d, k_grid, reps, seed, jobs=1):
@@ -276,9 +276,11 @@ def sweep(spec, n, method, d, k_grid, reps, seed, jobs=1):
             raise InvalidInputError(f"k={k} outside [1, n={n}]")
     truth = true_projector(spec)
 
-    per_rep = rngmod.replicate(partial(_rep_projectors, spec, n, method, d, k_grid, seed),
+    # bases, not projectors, are held across replications: p x d, not p x p
+    per_rep = rngmod.replicate(partial(_rep_bases, spec, n, method, d, k_grid, seed),
                                reps, jobs)
-    cells = [sweep_cell(k, [mats[pos] for mats in per_rep], truth)
+    cells = [sweep_cell(k, [None if bases[pos] is None else projector_from_basis(bases[pos])
+                            for bases in per_rep], truth)
              for pos, k in enumerate(k_grid)]
     return SweepReport(method=method, d=d, reps=reps, cells=cells)
 
@@ -365,9 +367,8 @@ def cross_validate_k(ds, method, d, k_grid, folds, quantile_level, seed,
         val_mask = fold_of == f_idx
         train_idx, val_idx = np.nonzero(~val_mask)[0], np.nonzero(val_mask)[0]
         train_ds, val_ds = ds.subset(train_idx), ds.subset(val_idx)
-        fits = PreparedFit(train_ds, method, d).fit_grid(
-            [min(k, train_ds.n) for k in k_values]
-        )
+        ks = [min(k, train_ds.n) for k in k_values]
+        fits = PreparedFit(train_ds).fit_grid(method, ks, d)
         for k, f in zip(k_values, fits):
             if isinstance(f, NumericalError):
                 raise f
@@ -438,6 +439,7 @@ def classify_experiment(ds, methods, d, quantile_level, folds, seed,
     if k_grid is None:
         k_grid = sorted(set(geometric_k_grid(max(1, train_ds.n // 100), train_ds.n, 30)))
 
+    prepared = PreparedFit(train_ds)
     results = []
     for method in methods:
         k = None
@@ -447,7 +449,7 @@ def classify_experiment(ds, methods, d, quantile_level, folds, seed,
                 n_neighbors=n_neighbors,
             )
             k = min(k, train_ds.n)
-        f = fit(train_ds, method, k=k, d=d)
+        f = prepared.fit(method, k, d)
         scores = knn_scores(
             f.transform(train_ds.x), train_labels, f.transform(test_ds.x), n_neighbors
         )

@@ -80,6 +80,15 @@ def default_eig_floor(eigenvalues):
     return 1e-10 * float(np.max(eigenvalues))
 
 
+def check_floor_and_ridge(eig_floor, ridge):
+    """InvalidInputError unless ``eig_floor`` is None or finite and > 0 and
+    ``ridge`` is finite and >= 0: the arguments ``inv_sqrt`` accepts."""
+    if eig_floor is not None and not (np.isfinite(eig_floor) and eig_floor > 0):
+        raise InvalidInputError(f"eig_floor must be finite and > 0, got {eig_floor}")
+    if not (np.isfinite(ridge) and ridge >= 0):
+        raise InvalidInputError(f"ridge must be finite and >= 0, got {ridge}")
+
+
 def inv_sqrt(m, eig_floor=None, ridge=0.0):
     """Inverse square root V diag(lambda^{-1/2}) V^T of a symmetric matrix.
 
@@ -89,10 +98,7 @@ def inv_sqrt(m, eig_floor=None, ridge=0.0):
     finite and > 0.  ``ridge`` > 0 adds ridge * I before decomposition as an
     explicit opt-in regularization; it must be finite and >= 0.
     """
-    if eig_floor is not None and not (np.isfinite(eig_floor) and eig_floor > 0):
-        raise InvalidInputError(f"eig_floor must be finite and > 0, got {eig_floor}")
-    if not (np.isfinite(ridge) and ridge >= 0):
-        raise InvalidInputError(f"ridge must be finite and >= 0, got {ridge}")
+    check_floor_and_ridge(eig_floor, ridge)
     m = symmetrize(m)
     _check_finite(m, "matrix")
     if ridge:

@@ -594,19 +594,22 @@ def test_tci_ratio_spec_needs_no_n(tmp_path, capsys):
     "--ridge=-1", "--ridge=nan", "--ridge=inf",
 ])
 def test_fit_bad_floor_or_ridge_is_a_user_error(tmp_path, capsys, flag):
-    # the option is blamed, on a healthy and on a singular covariance alike
+    # the option is blamed, on a healthy and on a singular covariance alike,
+    # also by the PCA variants, which never whiten
     healthy, flat = tmp_path / "a.csv", tmp_path / "flat.csv"
     assert run(["simulate", "--model", "A", "--n", "200", "--seed", "1",
                 "--out", str(healthy)]) == 0
     flat.write_text("x1,x2,y\n" + "".join(f"1.0,{i},{i}\n" for i in range(20)))
     name = flag[2:].split("=")[0].replace("-", "_")
+    methods = (["tirex1", "--k", "5"], ["pca", "--d", "1"], ["svd_pca", "--d", "1"])
     for data in (healthy, flat):
-        out = tmp_path / "f.json"
-        assert run(["fit", "--in", str(data), "--method", "tirex1", "--k", "5",
-                    flag, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("tirex: error:") and name in err
-        assert not out.exists()
+        for method in methods:
+            out = tmp_path / "f.json"
+            assert run(["fit", "--in", str(data), "--method", *method,
+                        flag, "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("tirex: error:") and name in err
+            assert not out.exists()
 
 
 @pytest.mark.parametrize("ridge", ["1e300", "1e308"])

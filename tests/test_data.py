@@ -306,7 +306,7 @@ def test_prepared_data_path_holds_two_copies_of_the_covariates(tmp_path):
     tracemalloc.start()
     try:
         loaded = load_csv(path)
-        PreparedFit(loaded, "tirex2", 5)
+        PreparedFit(loaded).fit_grid("tirex2", [], 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -325,7 +325,7 @@ def test_prepared_fit_holds_one_copy_of_the_covariates(tmp_path):
     tracemalloc.start()
     try:
         loaded = load_csv(path)
-        PreparedFit(loaded, "tirex2", 5).fit_grid([500, 4000])
+        PreparedFit(loaded).fit_grid("tirex2", [500, 4000], 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -349,18 +349,18 @@ def test_prepared_fit_whitens_the_top_rows_of_the_full_whitening(monkeypatch, me
 
     monkeypatch.setattr(estimators, "_prefix_grams", spy)
     z, order = whiten_all(standardize(ds)), descending_order(ds.y)
-    prepared = PreparedFit(ds, method, 3)
+    prepared = PreparedFit(ds)
     ks = [n] if method == "cuve" else [1, 2, 500, n // 2 + 1, n]
     for k in ks:
-        single, grid = prepared.fit(k), prepared.fit_grid([k])[0]
+        single, grid = prepared.fit(method, k, 3), prepared.fit_grid(method, [k], 3)[0]
         for rows in seen[-2:]:
             assert rows.tobytes() == z[order[:k]].tobytes()
         for name in ("candidate_matrix", "basis_whitened", "basis_raw"):
             assert getattr(single, name).tobytes() == getattr(grid, name).tobytes()
         assert single.eigen.eigenvalues.tobytes() == grid.eigen.eigenvalues.tobytes()
-    prepared.fit_grid(ks)
+    prepared.fit_grid(method, ks, 3)
     assert seen[-1].tobytes() == z[order[:max(ks)]].tobytes()
-    assert prepared.fit_grid([]) == []
+    assert prepared.fit_grid(method, [], 3) == []
 
 
 @pytest.mark.parametrize("rows", [[0], [7], [3, 3], [], [9, 0, 4, 4, 1], list(range(40))])

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tirex.data import Dataset, descending_order, standardize
-from tirex.errors import InvalidInputError
+from tirex.errors import InvalidInputError, RankDeficiencyError
 from tirex.estimators import (
     _BLOCK,
     _prefix_grams,
@@ -446,17 +446,33 @@ def test_prepared_fit_matches_fit_at_every_k():
     ds = small_dataset(10)
     for method, d in [("tirex1", 1), ("tirex2", 2), ("cume", 1), ("cuve", 2),
                       ("pca", 2), ("svd_pca", 1)]:
-        prepared = PreparedFit(ds, method, d=d)
+        prepared = PreparedFit(ds)
         for k in (1, 17, ds.n):
-            got, want = prepared.fit(k), fit(ds, method, k=k, d=d)
+            got, want = prepared.fit(method, k, d), fit(ds, method, k=k, d=d)
             assert got.k == want.k
             assert np.array_equal(got.candidate_matrix, want.candidate_matrix)
             assert np.array_equal(got.basis_raw, want.basis_raw)
             assert np.array_equal(got.projector_whitened, want.projector_whitened)
-    assert PreparedFit(ds, "cuve", d=1).fit(5).k == ds.n
-    assert PreparedFit(ds, "pca", d=1).fit(5).k is None
+    assert PreparedFit(ds).fit("cuve", 5, 1).k == ds.n
+    assert PreparedFit(ds).fit("pca", 5, 1).k is None
     with pytest.raises(InvalidInputError):
-        PreparedFit(ds, "tirex1").fit(ds.n + 1)
+        PreparedFit(ds).fit("tirex1", ds.n + 1)
+
+
+def test_prepared_fit_whitens_only_for_the_methods_that_need_it():
+    # a constant column makes the covariance singular: the PCA variants fit,
+    # the whitening methods fail, and the failure leaves the PCA fits intact
+    from tirex.estimators import PreparedFit
+
+    i = np.arange(20.0)
+    prepared = PreparedFit(Dataset(x=np.column_stack([np.ones(20), i]), y=i))
+    first = prepared.fit("pca", d=1)
+    assert prepared.fit("svd_pca", d=1).k is None
+    with pytest.raises(RankDeficiencyError):
+        prepared.fit("tirex1", 5)
+    again = prepared.fit("pca", d=1)
+    assert np.array_equal(again.eigen.eigenvalues, first.eigen.eigenvalues)
+    assert np.array_equal(first.eigen.eigenvalues, [33.25, 0.0])
 
 
 @pytest.mark.parametrize("method", ["tirex1", "tirex2"])
@@ -466,13 +482,13 @@ def test_fit_grid_matches_per_k_fits_and_integral_oracle(method):
     ds = small_dataset(4, n=_BLOCK + 40)
     z, order = whiten_all(standardize(ds)), descending_order(ds.y)
     oracle = integral_oracle_tirex1 if method == "tirex1" else integral_oracle_tirex2
-    prepared = PreparedFit(ds, method, d=2)
+    prepared = PreparedFit(ds)
     for grid in ([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, ds.n],
                  [_BLOCK + 1, 7, ds.n, 7, 1, _BLOCK + 1, _BLOCK - 1]):
-        fits = prepared.fit_grid(grid)
+        fits = prepared.fit_grid(method, grid, 2)
         assert [f.k for f in fits] == grid
         for k, f in zip(grid, fits):
-            for want in (prepared.fit(k).candidate_matrix, oracle(z, order, k)):
+            for want in (prepared.fit(method, k, 2).candidate_matrix, oracle(z, order, k)):
                 scale = np.abs(want).max()
                 assert np.abs(f.candidate_matrix - want).max() <= 1e-12 * scale, k
 
@@ -482,9 +498,9 @@ def test_fit_grid_pins_k_for_cume_cuve_and_ignores_it_for_pca():
 
     ds = small_dataset(5)
     for method, d in [("cume", 1), ("cuve", 2), ("pca", 2), ("svd_pca", 1)]:
-        prepared = PreparedFit(ds, method, d=d)
-        want = prepared.fit()
-        for f in prepared.fit_grid([3, ds.n, 3]):
+        prepared = PreparedFit(ds)
+        want = prepared.fit(method, d=d)
+        for f in prepared.fit_grid(method, [3, ds.n, 3], d):
             assert f.k == want.k
             assert np.array_equal(f.candidate_matrix, want.candidate_matrix)
             assert np.array_equal(f.basis_raw, want.basis_raw)

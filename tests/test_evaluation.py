@@ -544,6 +544,21 @@ def test_sweep_eigensolver_failure_spoils_only_its_cell(monkeypatch):
     assert np.isfinite(got.cell(60).mse)
 
 
+def test_sweep_holds_bases_not_projectors_across_replications():
+    # each replication keeps a 30 x 5 basis per grid k, not a 30 x 30
+    # projector: 64 reps x 8 k of projectors alone are 3.5 MiB
+    spec, _ = model_preset("B")
+    grid = geometric_k_grid(30, 300, 8)
+    sweep(spec, 300, "tirex2", 5, grid, reps=2, seed=1)  # warm-up
+    tracemalloc.start()
+    try:
+        sweep(spec, 300, "tirex2", 5, grid, reps=64, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+
+
 def test_sweep_parallel_matches_serial(monkeypatch):
     set_cpus(monkeypatch, 2)  # two threads, however many CPUs the host has
     spec, _ = model_preset("A")
@@ -662,6 +677,25 @@ def test_cross_validate_k_prepares_each_fold_once(monkeypatch):
     ds, _ = labeled_dataset(2)
     cross_validate_k(ds, "tirex1", 1, [30, 90, 300], folds=3, quantile_level=0.9, seed=5)
     assert len(calls) == 3
+
+
+def test_classify_experiment_prepares_its_training_part_once(monkeypatch):
+    # one standardization per CV fold of each free-k method (2 x 3), and one
+    # of the training part for every method's final fit
+    import tirex.estimators
+
+    calls = []
+    real = tirex.estimators.standardize
+
+    def counting(ds, **kwargs):
+        calls.append(ds.n)
+        return real(ds, **kwargs)
+
+    monkeypatch.setattr(tirex.estimators, "standardize", counting)
+    ds, _ = labeled_dataset(3, n=800)
+    classify_experiment(ds, ["tirex1", "tirex2", "cume", "cuve", "pca", "svd_pca"], d=1,
+                        quantile_level=0.9, folds=3, seed=0, k_grid=[40, 160])
+    assert len(calls) == 7
 
 
 def test_cross_validate_k_deterministic():
