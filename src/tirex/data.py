@@ -64,7 +64,7 @@ class Dataset:
         return self.x.shape[1]
 
     def subset(self, rows):
-        """Row-subset view as a new Dataset (rows is an index array)."""
+        """The given rows (an index array) copied into a new Dataset."""
         rows = np.asarray(rows)
         return Dataset(self.x[rows], self.y[rows], self.names)
 

@@ -132,28 +132,44 @@ def knn_scores(train_pts, train_labels, query_pts, n_neighbors=DEFAULT_NEIGHBORS
     return _knn_brute(tp, positive, qp, n_neighbors)
 
 
-def _sq_distances(block, tp):
-    """Squared Euclidean distances, one row per query in ``block``, equal bit
-    for bit to ``((block[:, None, :] - tp[None, :, :]) ** 2).sum(axis=-1)``:
-    numpy adds rows of up to 7 terms in order, as the column loop does."""
-    if tp.shape[1] > 7:
-        return ((block[:, None, :] - tp[None, :, :]) ** 2).sum(axis=-1)
-    d2 = (block[:, 0, None] - tp[:, 0]) ** 2
-    for j in range(1, tp.shape[1]):
-        d2 += (block[:, j, None] - tp[:, j]) ** 2
-    return d2
+def _sq_distances(block, tp, out, work):
+    """Squared Euclidean distances into ``out``, one row per query in
+    ``block``, equal bit for bit to
+    ``((block[:, None, :] - tp[None, :, :]) ** 2).sum(axis=-1)``: numpy adds
+    rows of up to 7 terms in order, as the column loop does.  ``work`` is a
+    flat float buffer that holds the block's coordinate differences."""
+    rows, (n, d) = block.shape[0], tp.shape
+    if d > 7:
+        diff = np.subtract(block[:, None, :], tp[None, :, :],
+                           out=work[: rows * n * d].reshape(rows, n, d))
+        return np.square(diff, out=diff).sum(axis=-1, out=out)
+    term = work[: rows * n].reshape(rows, n)
+    np.square(np.subtract(block[:, 0, None], tp[:, 0], out=out), out=out)
+    for j in range(1, d):
+        out += np.square(np.subtract(block[:, j, None], tp[:, j], out=term), out=term)
+    return out
 
 
 def _knn_brute(tp, positive, qp, m):
     out = np.empty(qp.shape[0])
-    for lo, hi in row_blocks(qp.shape[0], BLOCK_ELEMENTS // tp.size):
-        d2 = _sq_distances(qp[lo:hi], tp)
-        kth = np.partition(d2, m - 1, axis=1)[:, m - 1, None].copy()
-        taken, tied = d2 < kth, d2 == kth
-        del d2  # before the int64 cumsum, which is as large
+    blocks = row_blocks(qp.shape[0], BLOCK_ELEMENTS // tp.size)
+    # one set of buffers per call, sized to the largest block: a fresh set
+    # per block made glibc trim its heap and fault the pages in again
+    rows = max((hi - lo for lo, hi in blocks), default=0)
+    work = np.empty(rows * tp.size)  # the differences, then the partition
+    buffers = [np.empty((rows, tp.shape[0]), dtype) for dtype in (float, bool, bool, np.int64)]
+    for lo, hi in blocks:
+        d2, taken, tied, rank = (b[: hi - lo] for b in buffers)
+        _sq_distances(qp[lo:hi], tp, d2, work)
+        part = work[: d2.size].reshape(d2.shape)
+        np.copyto(part, d2)
+        part.partition(m - 1, axis=1)
+        kth = part[:, m - 1, None]
+        np.less(d2, kth, out=taken)
+        np.equal(d2, kth, out=tied)
         need = m - np.count_nonzero(taken, axis=1)
-        taken |= tied & (np.cumsum(tied, axis=1) <= need[:, None])
-        out[lo:hi] = np.count_nonzero(taken & positive, axis=1) / m
+        taken |= tied & (np.cumsum(tied, axis=1, out=rank) <= need[:, None])
+        out[lo:hi] = np.count_nonzero(np.logical_and(taken, positive, out=taken), axis=1) / m
     return out
 
 
@@ -345,15 +361,17 @@ def stratified_split(labels, test_fraction, seed):
 # classification protocol
 
 
-def cross_validate_k(ds, method, d, k_grid, folds, quantile_level, seed,
+def cross_validate_k(ds, methods, d, k_grid, folds, quantile_level, seed,
                      n_neighbors=DEFAULT_NEIGHBORS):
-    """Pick k maximizing the held-out AUC of the reduce-then-classify pipeline.
+    """Pick, per method, the k maximizing the held-out AUC of the
+    reduce-then-classify pipeline.
 
     Labels are exceedances of the dataset's own empirical quantile at
-    ``quantile_level``; folds are stratified on that label.  Each fold's
-    training part is prepared once and fitted at every k; k is clamped to
-    the fold training size when necessary.  Returns ``(best_k, table)`` with
-    the mean fold AUC per k; ties keep the smallest k.
+    ``quantile_level``; folds are stratified on that label.  Each fold is
+    split and its training part prepared once, then fitted by every method
+    at every k; k is clamped to the fold training size when necessary.
+    Returns ``{method: (best_k, table)}`` with the mean fold AUC per k; ties
+    keep the smallest k.
     """
     threshold = empirical_quantile(ds.y, quantile_level)
     labels = ds.y > threshold
@@ -362,23 +380,24 @@ def cross_validate_k(ds, method, d, k_grid, folds, quantile_level, seed,
     if not k_values:
         raise InvalidInputError("k_grid must be non-empty")
 
-    fold_aucs = {k: [] for k in k_values}
+    fold_aucs = {method: {k: [] for k in k_values} for method in methods}
     for f_idx in range(folds):
         val_mask = fold_of == f_idx
         train_idx, val_idx = np.nonzero(~val_mask)[0], np.nonzero(val_mask)[0]
         train_ds, val_ds = ds.subset(train_idx), ds.subset(val_idx)
         ks = [min(k, train_ds.n) for k in k_values]
-        fits = PreparedFit(train_ds).fit_grid(method, ks, d)
-        for k, f in zip(k_values, fits):
-            if isinstance(f, NumericalError):
-                raise f
-            scores = knn_scores(
-                f.transform(train_ds.x), labels[train_idx], f.transform(val_ds.x),
-                n_neighbors,
-            )
-            fold_aucs[k].append(auc(scores, labels[val_idx]))
-    table = {k: float(np.mean(aucs)) for k, aucs in fold_aucs.items()}
-    return max(k_values, key=table.__getitem__), table
+        prepared = PreparedFit(train_ds)
+        for method, aucs in fold_aucs.items():
+            for k, f in zip(k_values, prepared.fit_grid(method, ks, d)):
+                if isinstance(f, NumericalError):
+                    raise f
+                scores = knn_scores(
+                    f.transform(train_ds.x), labels[train_idx], f.transform(val_ds.x),
+                    n_neighbors,
+                )
+                aucs[k].append(auc(scores, labels[val_idx]))
+    tables = {m: {k: float(np.mean(a)) for k, a in aucs.items()} for m, aucs in fold_aucs.items()}
+    return {m: (max(k_values, key=table.__getitem__), table) for m, table in tables.items()}
 
 
 @dataclass(frozen=True)
@@ -423,11 +442,13 @@ def classify_experiment(ds, methods, d, quantile_level, folds, seed,
     """Tail-event classification benchmark on one dataset.
 
     Exceedance labels come from the empirical ``quantile_level``-quantile of
-    the full target; the data is split stratified 80/20.  Methods
-    with a free k choose it by stratified cross-validation on the training
-    part, clamped to the training size like the per-fold fits (``chosen_k``
-    is the k actually fitted); cume/cuve use the full training size and the
-    PCA variants have no k.  An ``n_neighbors`` vote on the reduced
+    the full target; the data is split stratified 80/20.  The methods
+    with a free k choose it in one stratified cross-validation of the
+    training part, whose folds they share (none runs without such a method),
+    clamped to the training size like the per-fold fits (``chosen_k`` is the
+    k actually fitted); cume/cuve use the full training size and the PCA
+    variants have no k.  The training part is prepared once for every
+    method's final fit, and an ``n_neighbors`` vote on the reduced
     coordinates produces the scores.
     """
     threshold = empirical_quantile(ds.y, quantile_level)
@@ -437,18 +458,15 @@ def classify_experiment(ds, methods, d, quantile_level, folds, seed,
     train_labels, test_labels = labels[train_idx], labels[test_idx]
 
     if k_grid is None:
-        k_grid = sorted(set(geometric_k_grid(max(1, train_ds.n // 100), train_ds.n, 30)))
+        k_grid = geometric_k_grid(max(1, train_ds.n // 100), train_ds.n, 30)
 
+    free_k = [m for m in methods if m in FREE_K_METHODS]
+    chosen = cross_validate_k(train_ds, free_k, d, k_grid, folds, quantile_level, seed,
+                              n_neighbors) if free_k else {}
     prepared = PreparedFit(train_ds)
     results = []
     for method in methods:
-        k = None
-        if method in FREE_K_METHODS:
-            k, _ = cross_validate_k(
-                train_ds, method, d, k_grid, folds, quantile_level, seed,
-                n_neighbors=n_neighbors,
-            )
-            k = min(k, train_ds.n)
+        k = min(chosen[method][0], train_ds.n) if method in chosen else None
         f = prepared.fit(method, k, d)
         scores = knn_scores(
             f.transform(train_ds.x), train_labels, f.transform(test_ds.x), n_neighbors

@@ -228,7 +228,8 @@ def test_knn_distances_equal_the_row_sum_bit_for_bit(d):
     scale = rng.choice([1e-3, 1.0, 1e5], size=(50, d))
     block, train = rng.standard_normal((50, d)) * scale, rng.standard_normal((700, d))
     want = ((block[:, None, :] - train[None, :, :]) ** 2).sum(axis=-1)
-    assert np.array_equal(evaluation._sq_distances(block, train), want)
+    got = evaluation._sq_distances(block, train, np.empty((50, 700)), np.empty(50 * 700 * d))
+    assert np.array_equal(got, want)
 
 
 def _shuffled(values, seed):
@@ -651,14 +652,15 @@ def labeled_dataset(seed=0, n=600):
 
 def test_cross_validate_single_k():
     ds, _ = labeled_dataset()
-    k, _ = cross_validate_k(ds, "tirex1", 1, [40], folds=3, quantile_level=0.9, seed=0)
+    k, _ = cross_validate_k(ds, ["tirex1"], 1, [40], folds=3, quantile_level=0.9,
+                            seed=0)["tirex1"]
     assert k == 40
 
 
 def test_cross_validate_k_independent_pipeline_takes_smallest():
     ds, _ = labeled_dataset(1)
-    k, table = cross_validate_k(ds, "pca", 1, [30, 90, 200], folds=3,
-                                quantile_level=0.9, seed=0)
+    k, table = cross_validate_k(ds, ["pca"], 1, [30, 90, 200], folds=3,
+                                quantile_level=0.9, seed=0)["pca"]
     assert k == 30
     assert len(set(table.values())) == 1  # k never entered the pipeline
 
@@ -675,13 +677,15 @@ def test_cross_validate_k_prepares_each_fold_once(monkeypatch):
 
     monkeypatch.setattr(tirex.estimators, "standardize", counting)
     ds, _ = labeled_dataset(2)
-    cross_validate_k(ds, "tirex1", 1, [30, 90, 300], folds=3, quantile_level=0.9, seed=5)
+    # one standardization per fold, shared by both methods
+    cross_validate_k(ds, ["tirex1", "tirex2"], 1, [30, 90, 300], folds=3,
+                     quantile_level=0.9, seed=5)
     assert len(calls) == 3
 
 
 def test_classify_experiment_prepares_its_training_part_once(monkeypatch):
-    # one standardization per CV fold of each free-k method (2 x 3), and one
-    # of the training part for every method's final fit
+    # one standardization per CV fold, shared by the free-k methods (3), and
+    # one of the training part for every method's final fit
     import tirex.estimators
 
     calls = []
@@ -695,12 +699,23 @@ def test_classify_experiment_prepares_its_training_part_once(monkeypatch):
     ds, _ = labeled_dataset(3, n=800)
     classify_experiment(ds, ["tirex1", "tirex2", "cume", "cuve", "pca", "svd_pca"], d=1,
                         quantile_level=0.9, folds=3, seed=0, k_grid=[40, 160])
-    assert len(calls) == 7
+    assert len(calls) == 4
+
+
+def test_classify_experiment_without_a_free_k_method_never_cross_validates():
+    # 64 training positives cannot fill 100 stratified folds, and no method
+    # here needs them
+    ds, _ = labeled_dataset(3, n=800)
+    args = dict(d=1, quantile_level=0.9, folds=100, seed=0, k_grid=[40, 160])
+    report = classify_experiment(ds, ["pca", "cume"], **args)
+    assert [s.chosen_k for s in report.scores] == [None, report.n_train]
+    with pytest.raises(InvalidInputError, match="too few positives"):
+        classify_experiment(ds, ["pca", "tirex1"], **args)
 
 
 def test_cross_validate_k_deterministic():
     ds, _ = labeled_dataset(2)
-    args = (ds, "tirex1", 1, [30, 90, 300], 3, 0.9, 5)
+    args = (ds, ["tirex1"], 1, [30, 90, 300], 3, 0.9, 5)
     assert cross_validate_k(*args) == cross_validate_k(*args)
 
 
@@ -712,11 +727,15 @@ def test_cross_validate_k_golden_regression():
 
     spec, _ = model_preset("A")
     ds = sample(spec, 3000, seed=21)
-    k, table = cross_validate_k(ds, "tirex1", 1, [464, 2000], folds=5,
-                                quantile_level=0.95, seed=21)
-    assert k == 464
-    assert table[464] == pytest.approx(0.8107777777777777, abs=1e-12)
-    assert table[2000] == pytest.approx(0.7691754385964913, abs=1e-12)
+    alone = cross_validate_k(ds, ["tirex1"], 1, [464, 2000], folds=5,
+                             quantile_level=0.95, seed=21)["tirex1"]
+    # the same folds shared with a second method give the same values
+    shared = cross_validate_k(ds, ["tirex2", "tirex1"], 1, [464, 2000], folds=5,
+                              quantile_level=0.95, seed=21)["tirex1"]
+    for k, table in (alone, shared):
+        assert k == 464
+        assert table[464] == pytest.approx(0.8107777777777777, abs=1e-12)
+        assert table[2000] == pytest.approx(0.7691754385964913, abs=1e-12)
 
 
 def test_classify_experiment_report_shape():
