@@ -356,17 +356,7 @@ def _add_sample_args(sub):
     return group
 
 
-def build_parser():
-    parser = _Parser(
-        prog="tirex",
-        description="Tail inverse regression toolkit: synthetic models, "
-        "subspace estimators, benchmarks and diagnostics.",
-    )
-    parser.add_argument("--version", action="version", version=f"tirex {__version__}")
-    subs = parser.add_subparsers(
-        required=True, metavar="{simulate,fit,sweep,classify,verify-process,tci-ratio}")
-
-    s = subs.add_parser("simulate", help="draw a synthetic dataset to CSV (+ JSON sidecar)")
+def _simulate_args(s):
     _add_sample_args(s)
     s.add_argument("--seed", type=int, required=True)
     s.add_argument("--stream", type=int, default=0,
@@ -374,7 +364,8 @@ def build_parser():
     s.add_argument("--out", required=True, help="output CSV path")
     s.set_defaults(handler=_cmd_simulate)
 
-    s = subs.add_parser("fit", help="fit a dimension-reduction subspace on a CSV dataset")
+
+def _fit_args(s):
     s.add_argument("--in", dest="infile", required=True, help="input CSV path")
     s.add_argument("--target", default="y", help="target column name (default %(default)s)")
     s.add_argument("--method", choices=METHODS, required=True)
@@ -388,10 +379,8 @@ def build_parser():
     s.add_argument("--projector-out", help="optional CSV of the whitened projector")
     s.set_defaults(handler=_cmd_fit)
 
-    s = subs.add_parser(
-        "sweep", aliases=["sweep-k"],
-        help="bias^2/variance/MSE of the projector over a k grid",
-    )
+
+def _sweep_args(s):
     _add_sample_args(s)
     s.add_argument("--method", choices=METHODS, required=True)
     s.add_argument("--d", type=int, required=True)
@@ -405,7 +394,8 @@ def build_parser():
     s.add_argument("--json-out", help="optional JSON report path")
     s.set_defaults(handler=_cmd_sweep)
 
-    s = subs.add_parser("classify", help="tail-event classification benchmark")
+
+def _classify_args(s):
     _add_sample_args(s).add_argument(
         "--in", dest="infile", help="input CSV (alternative to --model/--spec)")
     s.add_argument("--target", default="y", help="target column name (default %(default)s)")
@@ -424,10 +414,8 @@ def build_parser():
     s.add_argument("--json-out", help="optional JSON report path")
     s.set_defaults(handler=_cmd_classify)
 
-    s = subs.add_parser(
-        "verify-process",
-        help="Monte-Carlo check of the tail process covariance limit",
-    )
+
+def _verify_process_args(s):
     s.add_argument("--p", type=int, default=IndependentNormalModel.p,
                    help="covariate dimension of the check model (default %(default)s)")
     s.add_argument("--n", type=_size, required=True)
@@ -442,7 +430,8 @@ def build_parser():
     s.add_argument("--json-out", help="optional JSON report path")
     s.set_defaults(handler=_cmd_verify_process)
 
-    s = subs.add_parser("tci-ratio", help="analytic tail-dependence ratios / E|R| diagnostics")
+
+def _tci_ratio_args(s):
     _add_model_args(s)
     s.add_argument("--y", type=float, help="threshold for a pointwise ratio")
     s.add_argument("--v", help="comma list: light-block covariate values")
@@ -456,16 +445,51 @@ def build_parser():
     s.add_argument("--out", help="output JSON path (default: stdout)")
     s.set_defaults(handler=_cmd_tci_ratio)
 
-    for s in set(subs.choices.values()):
-        s.add_argument("--config", help="JSON config file; flags override its values")
+
+# name, aliases, help, and the function that adds the subcommand's flags
+_SUBCOMMANDS = (
+    ("simulate", [], "draw a synthetic dataset to CSV (+ JSON sidecar)", _simulate_args),
+    ("fit", [], "fit a dimension-reduction subspace on a CSV dataset", _fit_args),
+    ("sweep", ["sweep-k"], "bias^2/variance/MSE of the projector over a k grid", _sweep_args),
+    ("classify", [], "tail-event classification benchmark", _classify_args),
+    ("verify-process", [], "Monte-Carlo check of the tail process covariance limit",
+     _verify_process_args),
+    ("tci-ratio", [], "analytic tail-dependence ratios / E|R| diagnostics", _tci_ratio_args),
+)
+
+
+def build_parser(command=None):
+    """The tirex parser and its subparsers by name, aliases included.
+
+    Every subcommand is registered with its help, so the top-level help and
+    errors do not depend on ``command``; only the subparser that ``command``
+    names gets its flags, and with no ``command`` every subparser does.
+    """
+    parser = _Parser(
+        prog="tirex",
+        description="Tail inverse regression toolkit: synthetic models, "
+        "subspace estimators, benchmarks and diagnostics.",
+    )
+    parser.add_argument("--version", action="version", version=f"tirex {__version__}")
+    subs = parser.add_subparsers(
+        required=True, metavar="{simulate,fit,sweep,classify,verify-process,tci-ratio}")
+    for name, aliases, help_text, add_args in _SUBCOMMANDS:
+        s = subs.add_parser(name, aliases=aliases, help=help_text)
+        if command is None or command in [name] + aliases:
+            add_args(s)
+            s.add_argument("--config", help="JSON config file; flags override its values")
     return parser, subs.choices
 
 
 def run(argv):
     """Entry point returning an exit code (0 ok, 1 user error, 2 numerical)."""
     try:
-        parser, subparsers = build_parser()
-        args = parser.parse_args(_with_config(list(argv), subparsers))
+        argv = list(argv)
+        # a leading non-flag token is the subcommand the parse dispatches to,
+        # so only its subparser needs flags; otherwise build them all
+        lead = argv[0] if argv and not argv[0].startswith("-") else None
+        parser, subparsers = build_parser(lead)
+        args = parser.parse_args(_with_config(argv, subparsers))
         _check_paths(args)
         return args.handler(args)
     except SystemExit:  # --help and --version, after printing

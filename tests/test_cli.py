@@ -8,8 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tirex.cli import _write_report, run
+from tirex.cli import _write_report, build_parser, run
 from tirex.data import load_csv
+from tirex.errors import InvalidInputError
 from tirex.evaluation import geometric_k_grid
 from tirex.process_verify import IndependentNormalModel, ProcessCheckConfig, covariance_check
 
@@ -25,6 +26,27 @@ def test_help_exits_zero_and_lists_subcommands(capsys):
     out = capsys.readouterr().out
     for cmd in ("simulate", "fit", "sweep", "classify", "verify-process", "tci-ratio"):
         assert cmd in out
+
+
+def test_a_one_subcommand_parser_helps_like_the_full_one():
+    full_parser, full = build_parser()
+    assert sorted(full) == ["classify", "fit", "simulate", "sweep", "sweep-k", "tci-ratio",
+                            "verify-process"]
+    for name in full:
+        parser, subparsers = build_parser(name)
+        assert parser.format_help() == full_parser.format_help()
+        assert subparsers[name].format_help() == full[name].format_help(), name
+        assert all(len(s._actions) == 1 for s in subparsers.values()
+                   if s is not subparsers[name])  # only -h: no flags built
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["--bogus", "fit"], ["-5"], [""]])
+def test_command_errors_do_not_depend_on_the_flags_built(argv, capsys):
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    with pytest.raises(InvalidInputError) as full:  # the fully built parser's message
+        build_parser()[0].parse_args(argv)
+    assert err == f"tirex: error: {full.value}\n"
 
 
 def test_no_subcommand_is_user_error():

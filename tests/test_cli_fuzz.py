@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from tirex.cli import build_parser, run
 from tirex.errors import MAX_SIZE
 
-_, SUBPARSERS = build_parser()
+# each subcommand's parser as ``run`` builds it: with only that subcommand's flags
+SUBPARSERS = {name: build_parser(name)[1][name] for name in build_parser()[1]}
 
 
 def mostly(good, bad):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from tirex.data import Dataset, descending_order, standardize
 from tirex.errors import InvalidInputError, RankDeficiencyError
+from tirex.evaluation import geometric_k_grid
 from tirex.estimators import (
     _BLOCK,
     _prefix_grams,
@@ -253,6 +256,31 @@ def test_grid_matches_gram_oracle_at_block_edges(p, mean, scale):
     z = mean + scale * rng.standard_normal((n, p))
     ks = [1, 1, _BLOCK - 1, _BLOCK, _BLOCK, _BLOCK + 1, 2 * _BLOCK, n]
     assert_grid_matches_gram_oracle(z, rng.permutation(n), ks)
+
+
+@pytest.mark.parametrize("mean", [0.0, 50.0])
+def test_grid_matches_gram_oracle_at_the_benchmark_width(mean):
+    # p = 30 as in model B, on both sides of a block's end and over short
+    # last blocks
+    rng = np.random.default_rng(9)
+    n = 300
+    z = mean + rng.standard_normal((n, 30))
+    ks = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5, n]
+    assert_grid_matches_gram_oracle(z, rng.permutation(n), ks)
+
+
+def test_grid_memory_holds_one_block_not_k_rows():
+    # O(b^2 + b p) working memory: no k x p temporary, no constants per block size
+    z = np.random.default_rng(10).standard_normal((10000, 30))
+    ks = geometric_k_grid(100, 10000, 30)
+    for second_order in (False, True):
+        tracemalloc.start()
+        try:
+            _prefix_grams(z, ks, second_order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (second_order, peak)
 
 
 def test_grid_matches_gram_oracle_when_second_order_sum_returns_to_zero():

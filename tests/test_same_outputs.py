@@ -38,7 +38,7 @@ def test_every_kind_of_difference_is_reported():
     assert same_outputs.differences(a, b) == [
         "gone.json: only under A",
         "new.json: only under B",
-        "out.csv: line 3: b'2' vs b'3'",
+        "out.csv: line 3: b'2' vs b'3'; largest relative difference 0.333",
         "step 1 stderr: 0 vs 1 lines",
         "step 2 exit code: 0 vs 1",
     ]
@@ -52,3 +52,15 @@ def test_the_case_list_holds_the_benchmark_workloads_at_two_seeds():
         ["--jobs", "2"], ["--jobs", "64"]]
     fit_b = steps["fit-B-csv seed 2"]
     assert [step[0] for step in fit_b] == ["simulate", "fit"] and "2" in fit_b[0]
+
+
+def test_the_largest_relative_difference_reads_numbers_at_the_same_place():
+    move = same_outputs.largest_relative_difference
+    assert move("a.csv", b"k,v\n1,2.0\n-4,x\n", b"k,v\n1,2.5\n-4,y\n") == 0.2
+    assert move("a.csv", b"k\n1\n", b"k\n1\n2\n") == 0.0  # extra lines pair with nothing
+    assert move("a.json", b'{"e": [1.0, 4.0], "m": "tirex2", "b": true}',
+                b'{"e": [1.0, 5.0], "m": "tirex1", "b": false, "new": 9}') == 0.2
+    assert move("a.json", b'{"v": NaN, "w": 1}', b'{"v": NaN, "w": Infinity}') == float("inf")
+    assert move("a.json", b"{", b"{}") is None
+    assert move("a.txt", b"1\n", b"2\n") is None
+    assert move("a.csv", b"x\n", b"y\n") is None

@@ -23,10 +23,16 @@ README's example, whose two free-k methods share the cross-validation), two
 ``tci-ratio`` runs (the pointwise ratios on model C, and ``E|R|`` on model
 A up to a y whose survival underflows to 0), and a ``fit`` of a CSV whose
 header names the target twice.
+
+For a CSV or JSON file that differs, the line also gives the largest
+relative difference |a - b| / max(|a|, |b|) over the numeric cells that
+the two files hold at the same place.
 """
 
 import argparse
 import importlib.util
+import json
+import math
 import os
 import subprocess
 import sys
@@ -135,6 +141,59 @@ def _first_change(a, b):
     return f"{len(lines_a)} vs {len(lines_b)} lines"
 
 
+def _relative(a, b):
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _number(cell):
+    """A CSV cell or JSON leaf as a float, or None if it holds no number."""
+    if isinstance(cell, bool):
+        return None
+    try:
+        return float(cell)
+    except (TypeError, ValueError):
+        return None
+
+
+def _json_pairs(a, b):
+    """The leaves of two JSON values at the same place."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in a.keys() & b.keys():
+            yield from _json_pairs(a[key], b[key])
+    elif isinstance(a, list) and isinstance(b, list):
+        for x, y in zip(a, b):
+            yield from _json_pairs(x, y)
+    else:
+        yield a, b
+
+
+def _cell_pairs(name, a, b):
+    """The cells of two CSV or JSON files at the same place; none for other
+    files, or for files that do not parse."""
+    try:
+        text_a, text_b = a.decode("utf-8"), b.decode("utf-8")
+        if name.endswith(".json"):
+            return list(_json_pairs(json.loads(text_a), json.loads(text_b)))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return []
+    if name.endswith(".csv"):
+        return [pair for line_a, line_b in zip(text_a.splitlines(), text_b.splitlines())
+                for pair in zip(line_a.split(","), line_b.split(","))]
+    return []
+
+
+def largest_relative_difference(name, a, b):
+    """The largest relative difference between the numeric cells that two
+    CSV or JSON files hold at the same place, or None when they hold none."""
+    pairs = [(_number(x), _number(y)) for x, y in _cell_pairs(name, a, b)]
+    moves = [_relative(x, y) for x, y in pairs if x is not None and y is not None]
+    return max(moves, default=None)
+
+
 def differences(a, b):
     """Every difference between two ``run_case`` results, one line each."""
     (files_a, steps_a), (files_b, steps_b) = a, b
@@ -145,7 +204,11 @@ def differences(a, b):
         elif name not in files_a:
             out.append(f"{name}: only under B")
         elif files_a[name] != files_b[name]:
-            out.append(f"{name}: {_first_change(files_a[name], files_b[name])}")
+            line = f"{name}: {_first_change(files_a[name], files_b[name])}"
+            move = largest_relative_difference(name, files_a[name], files_b[name])
+            if move is not None:
+                line += f"; largest relative difference {move:.3g}"
+            out.append(line)
     for i, (step_a, step_b) in enumerate(zip(steps_a, steps_b), start=1):
         if step_a[0] != step_b[0]:
             out.append(f"step {i} exit code: {step_a[0]} vs {step_b[0]}")
