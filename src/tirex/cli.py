@@ -275,13 +275,6 @@ def _cmd_classify(args):
         spec, n = _resolve_spec(args)
         ds = sample(spec, n, args.seed, stream=0)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not methods:
-        raise InvalidInputError("--methods names no method")
-    for i, m in enumerate(methods):
-        if m not in METHODS:
-            raise InvalidInputError(f"unknown method {m!r} in --methods")
-        if m in methods[:i]:
-            raise InvalidInputError(f"method {m!r} named twice in --methods")
     report = classify_experiment(
         ds, methods, d=args.d, quantile_level=args.quantile_level, folds=args.folds,
         seed=args.seed,

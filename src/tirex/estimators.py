@@ -67,6 +67,22 @@ _PCA_METHODS = ("pca", "svd_pca")
 _BLOCK = 128
 
 
+def check_methods(methods):
+    """The method names as a tuple; InvalidInputError unless there is at
+    least one, each is one of METHODS and none is named twice."""
+    methods = tuple(methods)
+    if not methods:
+        raise InvalidInputError("no method named")
+    for i, method in enumerate(methods):
+        if method not in METHODS:
+            raise InvalidInputError(
+                f"unknown method {method!r}; expected one of {', '.join(METHODS)}"
+            )
+        if method in methods[:i]:
+            raise InvalidInputError(f"method {method!r} named twice")
+    return methods
+
+
 def _check_k(k, n):
     if not (1 <= k <= n):
         raise InvalidInputError(f"k must satisfy 1 <= k <= n={n}, got {k}")
@@ -303,10 +319,7 @@ class PreparedFit:
     def _checked(self, method, ks, d):
         """``_effective_k`` of each of ``ks``, and d (1 by default for the
         first-order methods only), checking the method, then k, then d."""
-        if method not in METHODS:
-            raise InvalidInputError(
-                f"unknown method {method!r}; expected one of {', '.join(METHODS)}"
-            )
+        check_methods([method])
         ks = [_effective_k(method, k, self._ds.n) for k in ks]
         if d is None and method not in _FIRST_ORDER_METHODS:
             raise InvalidInputError(f"method {method!r} requires an explicit d")

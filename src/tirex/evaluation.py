@@ -25,7 +25,7 @@ import numpy as np
 from . import rng as rngmod
 from .data import BLOCK_ELEMENTS, empirical_quantile, row_blocks
 from .errors import InvalidInputError, NumericalError
-from .estimators import FREE_K_METHODS, PreparedFit
+from .estimators import FREE_K_METHODS, PreparedFit, check_methods
 from .linalg import frobenius_dist_sq, projector_from_basis
 from .synthetic import sample, true_projector
 
@@ -85,15 +85,13 @@ def knn_scores(train_pts, train_labels, query_pts, n_neighbors=DEFAULT_NEIGHBORS
 
     Distance ties at the boundary resolve to the smaller training index; the
     hard prediction downstream is score > 0.5, so a tied 0.5 vote predicts
-    negative.  The full scan, O(n_train * (d + 1)) per query, in blocks of
-    queries of at most ``data.BLOCK_ELEMENTS`` coordinate differences (one
-    query at least), selects rather than sorts: a partial selection finds
+    negative.  The full scan, O(n_train * (d + 1)) per query, sums the
+    squared coordinate differences one column at a time, in order, at every
+    d, in blocks of queries of at most ``data.BLOCK_ELEMENTS`` distances (one
+    query at least).  It selects rather than sorts: a partial selection finds
     the m-th smallest squared distance (m = ``n_neighbors``), every strictly
     closer point is taken, and the rest go to the points at exactly that
-    distance in index order, as a stable sort would.  For d <= 7 it adds the
-    squared column differences one column at a time, bit-identical to
-    numpy's in-order sum of such short rows; from d = 8 on numpy's sum
-    groups the terms differently and is kept, so the tie sets do not move.
+    distance in index order, as a stable sort would.
 
     In one dimension (finite coordinates) the training points are sorted once
     per call.  When a query's m nearest points are unique, they are a run
@@ -132,36 +130,33 @@ def knn_scores(train_pts, train_labels, query_pts, n_neighbors=DEFAULT_NEIGHBORS
     return _knn_brute(tp, positive, qp, n_neighbors)
 
 
-def _sq_distances(block, tp, out, work):
-    """Squared Euclidean distances into ``out``, one row per query in
-    ``block``, equal bit for bit to
-    ``((block[:, None, :] - tp[None, :, :]) ** 2).sum(axis=-1)``: numpy adds
-    rows of up to 7 terms in order, as the column loop does.  ``work`` is a
-    flat float buffer that holds the block's coordinate differences."""
-    rows, (n, d) = block.shape[0], tp.shape
-    if d > 7:
-        diff = np.subtract(block[:, None, :], tp[None, :, :],
-                           out=work[: rows * n * d].reshape(rows, n, d))
-        return np.square(diff, out=diff).sum(axis=-1, out=out)
-    term = work[: rows * n].reshape(rows, n)
-    np.square(np.subtract(block[:, 0, None], tp[:, 0], out=out), out=out)
-    for j in range(1, d):
-        out += np.square(np.subtract(block[:, j, None], tp[:, j], out=term), out=term)
+def _sq_distances(block, columns, out, term):
+    """Squared Euclidean distances into ``out`` (rows x n), one row per query
+    in ``block`` (rows x d), from the training points' coordinates stored
+    column by column in ``columns`` (d x n): the squared differences of
+    column 0, then those of each later column added in order, each held in
+    ``term`` (rows x n) first.  Up to d = 7 the sums equal numpy's row sum
+    ``((block[:, None, :] - columns.T[None]) ** 2).sum(axis=-1)`` bit for
+    bit; from d = 8 numpy adds pairwise and may differ in the last bits."""
+    np.square(np.subtract(block[:, 0, None], columns[0], out=out), out=out)
+    for j in range(1, columns.shape[0]):
+        out += np.square(np.subtract(block[:, j, None], columns[j], out=term), out=term)
     return out
 
 
 def _knn_brute(tp, positive, qp, m):
+    n = tp.shape[0]
+    columns = np.ascontiguousarray(tp.T)
     out = np.empty(qp.shape[0])
-    blocks = row_blocks(qp.shape[0], BLOCK_ELEMENTS // tp.size)
+    blocks = row_blocks(qp.shape[0], BLOCK_ELEMENTS // n)
     # one set of buffers per call, sized to the largest block: a fresh set
-    # per block made glibc trim its heap and fault the pages in again
+    # per block made glibc trim its heap and fault the pages in again; the
+    # second holds a column's squares, then the partition copy
     rows = max((hi - lo for lo, hi in blocks), default=0)
-    work = np.empty(rows * tp.size)  # the differences, then the partition
-    buffers = [np.empty((rows, tp.shape[0]), dtype) for dtype in (float, bool, bool, np.int64)]
+    buffers = [np.empty((rows, n), dtype) for dtype in (float, float, bool, bool, np.int64)]
     for lo, hi in blocks:
-        d2, taken, tied, rank = (b[: hi - lo] for b in buffers)
-        _sq_distances(qp[lo:hi], tp, d2, work)
-        part = work[: d2.size].reshape(d2.shape)
+        d2, part, taken, tied, rank = (b[: hi - lo] for b in buffers)
+        _sq_distances(qp[lo:hi], columns, d2, part)
         np.copyto(part, d2)
         part.partition(m - 1, axis=1)
         kth = part[:, m - 1, None]
@@ -371,8 +366,10 @@ def cross_validate_k(ds, methods, d, k_grid, folds, quantile_level, seed,
     split and its training part prepared once, then fitted by every method
     at every k; k is clamped to the fold training size when necessary.
     Returns ``{method: (best_k, table)}`` with the mean fold AUC per k; ties
-    keep the smallest k.
+    keep the smallest k.  An empty method list, or an unknown or repeated
+    name, raises InvalidInputError before any fit.
     """
+    methods = check_methods(methods)
     threshold = empirical_quantile(ds.y, quantile_level)
     labels = ds.y > threshold
     fold_of = stratified_folds(labels, folds, seed)
@@ -449,8 +446,10 @@ def classify_experiment(ds, methods, d, quantile_level, folds, seed,
     k actually fitted); cume/cuve use the full training size and the PCA
     variants have no k.  The training part is prepared once for every
     method's final fit, and an ``n_neighbors`` vote on the reduced
-    coordinates produces the scores.
+    coordinates produces the scores.  An empty method list, or an unknown
+    or repeated name, raises InvalidInputError before any fit.
     """
+    methods = check_methods(methods)
     threshold = empirical_quantile(ds.y, quantile_level)
     labels = ds.y > threshold
     train_idx, test_idx = stratified_split(labels, TEST_FRACTION, seed)

@@ -148,13 +148,15 @@ def frobenius_dist_sq(m1, m2):
 def orthonormal_columns(b):
     """Orthonormalize columns (thin QR) with the deterministic sign rule.
 
-    Spans the same subspace as the input; requires full column rank.
+    Spans the same subspace as the input; requires full column rank, judged
+    scale-free: every diagonal entry of R must exceed 1e-12 times R's
+    largest entry in magnitude.
     """
     b = np.asarray(b, dtype=float)
     if b.ndim == 1:
         b = b[:, None]
     q, r = np.linalg.qr(b)
-    if np.min(np.abs(np.diag(r))) <= 1e-12 * max(1.0, float(np.abs(r).max())):
+    if np.min(np.abs(np.diag(r))) <= 1e-12 * float(np.abs(r).max()):
         raise InvalidInputError("columns are numerically dependent")
     # QR returns columns up to sign; re-apply the sign rule for determinism
     return _apply_sign_rule(q)

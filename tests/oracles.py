@@ -129,6 +129,16 @@ def knn_scores_oracle(train_pts, train_labels, query_pts, n_neighbors):
     return out
 
 
+def column_sum_sq_distances(block, train):
+    """Squared distances from each row of ``block`` to each row of ``train``,
+    the squared coordinate differences added one column at a time, in
+    order: the sums ``tirex.evaluation._sq_distances`` makes at every d."""
+    out = np.zeros((block.shape[0], train.shape[0]))
+    for j in range(train.shape[1]):
+        out = out + (block[:, j, None] - train[None, :, j]) ** 2
+    return out
+
+
 def knn_run_start_oracle(ts, q, m):
     """The lane-by-lane binary search that found each query's run start in
     ``tirex.evaluation`` before the midpoint search: the first l in

@@ -636,14 +636,15 @@ def test_fit_bad_floor_or_ridge_is_a_user_error(tmp_path, capsys, flag):
 
 @pytest.mark.parametrize("ridge", ["1e300", "1e308"])
 def test_fit_ridge_near_the_largest_float_is_no_traceback(tmp_path, capsys, ridge):
-    # symmetrizing the ridged covariance used to overflow at 1e308
+    # symmetrizing the ridged covariance used to overflow at 1e308; its tiny
+    # whitener gives a tiny raw basis, still of full rank
     data, out = tmp_path / "a.csv", tmp_path / "f.json"
     assert run(["simulate", "--model", "A", "--n", "200", "--seed", "1",
                 "--out", str(data)]) == 0
     assert run(["fit", "--in", str(data), "--method", "tirex1", "--k", "20",
-                "--ridge", ridge, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "tirex: error: columns are numerically dependent\n"
-    assert not out.exists()
+                "--ridge", ridge, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert np.isfinite(json.loads(out.read_text())["eigenvalues"]).all()
 
 
 @pytest.mark.parametrize("method", [["--method", "tirex1", "--k", "2"],
@@ -843,9 +844,10 @@ SIM = ["simulate", "--n", "5", "--seed", "1", "--out", "o.csv"]
     (SIM[:-1] + ["", "--model", "A"], "--out '' is not a file path"),
     (SIM[:-1] + ["/", "--model", "A"], "--out '/' is not a file path"),
     (["classify", "--model", "A", "--n", "300", "--methods", "tirex1,nope", "--d", "1",
-      "--seed", "1", "--out", "o.csv"], "unknown method 'nope' in --methods"),
+      "--seed", "1", "--out", "o.csv"],
+     "unknown method 'nope'; expected one of tirex1, tirex2, cume, cuve, pca, svd_pca"),
     (["classify", "--model", "A", "--n", "300", "--methods", "pca,tirex1,pca", "--d", "1",
-      "--seed", "1", "--out", "o.csv"], "method 'pca' named twice in --methods"),
+      "--seed", "1", "--out", "o.csv"], "method 'pca' named twice"),
 ])
 def test_cli_user_errors_write_nothing(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)

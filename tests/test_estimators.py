@@ -16,7 +16,8 @@ from tirex.estimators import (
     tirex1_matrix,
     tirex2_matrix,
 )
-from tirex.linalg import sym_eigen
+from tirex.linalg import projector_from_basis, sym_eigen
+from tirex.synthetic import model_preset, sample
 
 from oracles import (
     b_process,
@@ -532,6 +533,21 @@ def test_fit_grid_pins_k_for_cume_cuve_and_ignores_it_for_pca():
             assert f.k == want.k
             assert np.array_equal(f.candidate_matrix, want.candidate_matrix)
             assert np.array_equal(f.basis_raw, want.basis_raw)
+
+
+@pytest.mark.parametrize("method", ["tirex1", "tirex2", "cume", "cuve"])
+def test_whitened_fits_do_not_depend_on_the_covariates_scale(method):
+    # the raw basis W B shrinks with the whitener W, so its rank test must
+    # not have an absolute floor
+    ds = sample(model_preset("B")[0], 3000, seed=1)
+    base = fit(ds, method, k=300, d=5)
+    top = base.eigen.eigenvalues[0]
+    for scale in (1e-100, 1e-12, 1e12, 1e100):
+        f = fit(Dataset(ds.x * scale, ds.y), method, k=300, d=5)
+        np.testing.assert_allclose(f.eigen.eigenvalues, base.eigen.eigenvalues,
+                                   rtol=1e-9, atol=1e-9 * top)
+        np.testing.assert_allclose(projector_from_basis(f.basis_raw),
+                                   projector_from_basis(base.basis_raw), rtol=0, atol=1e-9)
 
 
 def test_fit_transform_matches_whitened_projection():

@@ -25,7 +25,13 @@ from tirex.evaluation import (
 )
 from tirex.synthetic import MixtureSpec, UniformLaw, model_preset, true_projector
 
-from oracles import knn_run_start_oracle, knn_scores_oracle, serial_pools, set_cpus
+from oracles import (
+    column_sum_sq_distances,
+    knn_run_start_oracle,
+    knn_scores_oracle,
+    serial_pools,
+    set_cpus,
+)
 
 # ---------------------------------------------------------------------------
 # AM risk
@@ -203,11 +209,13 @@ def test_knn_score_half_predicts_negative():
     assert not knn_predict(np.array([0.5]))[0]
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 8])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 8, 10, 30])
 @pytest.mark.parametrize("n_neighbors", [1, 37, 600])
 def test_knn_selection_matches_full_sort_oracle(d, n_neighbors):
-    # integer grids make ties at the boundary distance the common case;
-    # 600 x 1560 distances span several query chunks
+    # integer grids make ties at the boundary distance the common case, and
+    # every sum of their squared differences exact, so the oracle's row sum
+    # and the full scan's column sums agree at any d; 600 x 1560 distances
+    # span several query blocks
     rng = np.random.default_rng(10 * d + n_neighbors)
     train = rng.integers(-3, 4, size=(600, d)).astype(float)
     labels = rng.random(600) < 0.3
@@ -221,14 +229,18 @@ def test_knn_selection_matches_full_sort_oracle(d, n_neighbors):
     assert np.array_equal(got, knn_scores_oracle(train, labels, queries, n_neighbors))
 
 
-@pytest.mark.parametrize("d", range(1, 10))
+@pytest.mark.parametrize("d", [*range(1, 10), 16, 30])
 def test_knn_distances_equal_the_row_sum_bit_for_bit(d):
-    # the tie sets depend on every bit of the squared distances
+    # the tie sets depend on every bit of the squared distances: the columns
+    # are added in order, which up to d = 7 is numpy's row sum; from d = 8
+    # numpy adds pairwise
     rng = np.random.default_rng(d)
     scale = rng.choice([1e-3, 1.0, 1e5], size=(50, d))
     block, train = rng.standard_normal((50, d)) * scale, rng.standard_normal((700, d))
-    want = ((block[:, None, :] - train[None, :, :]) ** 2).sum(axis=-1)
-    got = evaluation._sq_distances(block, train, np.empty((50, 700)), np.empty(50 * 700 * d))
+    want = (((block[:, None, :] - train[None, :, :]) ** 2).sum(axis=-1) if d <= 7
+            else column_sum_sq_distances(block, train))
+    got = evaluation._sq_distances(block, np.ascontiguousarray(train.T),
+                                   np.empty((50, 700)), np.empty((50, 700)))
     assert np.array_equal(got, want)
 
 
@@ -454,10 +466,10 @@ def test_knn_working_set_is_a_few_chunks_when_every_query_falls_back():
 
 @pytest.mark.parametrize("d", [8, 30])
 def test_knn_full_scan_holds_one_element_budget_at_any_dimension(d):
-    # a block holds at most data.BLOCK_ELEMENTS (2**16) coordinate
-    # differences, one query at least: 1.5 MiB when one query's 6400 x 30
-    # differences exceed it, against the 18 and 61 MiB of blocks sized by
-    # distances alone
+    # a block holds at most data.BLOCK_ELEMENTS (2**16) distances, one query
+    # at least: 10 queries here, whose five 10 x 6400 buffers take 1.7 MiB
+    # beside the training points' 0.4 or 1.5 MiB column copy (peaks 2.5 and
+    # 3.6 MiB)
     rng = np.random.default_rng(0)
     train, queries = rng.standard_normal((6400, d)), rng.standard_normal((1600, d))
     labels = rng.random(6400) < 0.1
@@ -700,6 +712,29 @@ def test_classify_experiment_prepares_its_training_part_once(monkeypatch):
     classify_experiment(ds, ["tirex1", "tirex2", "cume", "cuve", "pca", "svd_pca"], d=1,
                         quantile_level=0.9, folds=3, seed=0, k_grid=[40, 160])
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("methods, message", [
+    ([], "no method named"),
+    (["tirex1", "tirex2", "nope"], "unknown method 'nope'"),
+    (["tirex1", "tirex1"], "method 'tirex1' named twice"),
+])
+def test_method_lists_are_checked_before_any_fit(monkeypatch, methods, message):
+    # the list is checked before the split: no fold is prepared and no
+    # method fitted, so a bad name cannot cost a whole cross-validation
+    import tirex.estimators
+
+    calls = []
+    real = tirex.estimators.standardize
+    monkeypatch.setattr(tirex.estimators, "standardize",
+                        lambda ds, **kwargs: calls.append(ds.n) or real(ds, **kwargs))
+    ds, _ = labeled_dataset(3, n=800)
+    with pytest.raises(InvalidInputError, match=message):
+        classify_experiment(ds, methods, d=1, quantile_level=0.9, folds=5, seed=0,
+                            k_grid=[40, 160])
+    with pytest.raises(InvalidInputError, match=message):
+        cross_validate_k(ds, methods, 1, [40, 160], folds=5, quantile_level=0.9, seed=0)
+    assert calls == []
 
 
 def test_classify_experiment_without_a_free_k_method_never_cross_validates():

@@ -178,6 +178,16 @@ def test_orthonormal_columns_rejects_dependent_input():
         orthonormal_columns(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-12, 1.0, 1e300])
+def test_orthonormal_columns_rank_test_is_scale_free(scale):
+    # a fit's raw basis shrinks with its whitener, and stays of full rank
+    b = np.random.default_rng(3).standard_normal((6, 3))
+    assert np.allclose(orthonormal_columns(b * scale), orthonormal_columns(b),
+                       rtol=0, atol=1e-14)
+    with pytest.raises(InvalidInputError):
+        orthonormal_columns(np.array([[1.0, 2.0], [2.0, 4.0]]) * scale)
+
+
 def test_frobenius_dist_identical():
     p = projector_from_basis(np.array([[1.0], [0.0]]))
     assert frobenius_dist_sq(p, p) == 0.0

@@ -16,13 +16,13 @@ The cases are the four benchmark workloads of ``perfbench/run.py`` at seeds
 1 and 2, a five-replication ``sweep`` on model B at ``--jobs`` 2 and 64 (as
 many threads as the CPUs allow), six ``verify-process`` runs (two with
 failing entries, one of them 19 440 covariance rows written in three CSV row
-blocks), four ``classify`` runs (three that reach the k-NN full scan: model C
-at d = 1, where every query has tied neighbours, model B at d = 2, and model
-B at d = 10, where every query takes the d > 7 distance kernel; and the
-README's example, whose two free-k methods share the cross-validation), two
-``tci-ratio`` runs (the pointwise ratios on model C, and ``E|R|`` on model
-A up to a y whose survival underflows to 0), and a ``fit`` of a CSV whose
-header names the target twice.
+blocks), five ``classify`` runs (four that reach the k-NN full scan: model C
+at d = 1, where every query has tied neighbours, and model B at d = 2, 10
+and 30, the widest its distance sums get; and the README's example, whose
+two free-k methods share the cross-validation), two ``tci-ratio`` runs (the
+pointwise ratios on model C, and ``E|R|`` on model A up to a y whose
+survival underflows to 0), and a ``fit`` of a CSV whose header names the
+target twice.
 
 For a CSV or JSON file that differs, the line also gives the largest
 relative difference |a - b| / max(|a|, |b|) over the numeric cells that
@@ -64,6 +64,8 @@ CLASSIFY_ARGVS = [
      "--quantile-level", "0.9", "--folds", "3", "--k-grid", "100,600", "--seed", "2"],
     ["--model", "B", "--n", "3000", "--methods", "tirex2,pca", "--d", "10",
      "--quantile-level", "0.9", "--folds", "3", "--k-grid", "300,1200", "--seed", "3"],
+    ["--model", "B", "--n", "3000", "--methods", "tirex2,pca", "--d", "30",
+     "--quantile-level", "0.9", "--folds", "3", "--k-grid", "300,1200", "--seed", "4"],
     ["--model", "A", "--n", "10000", "--methods", "tirex1,tirex2,pca", "--d", "1",
      "--quantile-level", "0.9", "--folds", "5", "--k-grid", "464,1000,2000,4000",
      "--seed", "1"],
