@@ -24,7 +24,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .data import BLOCK_ELEMENTS, empirical_quantile, row_blocks
-from .errors import InvalidInputError, NumericalError
+from .errors import InvalidInputError, NumericalError, check_size
 from .estimators import FREE_K_METHODS, PreparedFit, check_methods
 from .linalg import frobenius_dist_sq, projector_from_basis
 from .synthetic import sample, true_projector
@@ -37,6 +37,18 @@ TEST_FRACTION = 0.2
 # metrics
 
 
+def _truth_labels(values, what, truth, metric):
+    """``truth`` as booleans and its positive count; InvalidInputError unless
+    it has the shape of ``values`` and holds both classes."""
+    t = np.asarray(truth).astype(bool)
+    if values.shape != t.shape:
+        raise InvalidInputError(f"{what} and truth must have equal length")
+    n_pos = int(t.sum())
+    if n_pos == 0 or n_pos == t.size:
+        raise InvalidInputError(f"{metric} undefined: truth contains a single class")
+    return t, n_pos
+
+
 def am_risk(predictions, truth):
     """Arithmetic-mean risk 0.5 * (FPR + FNR) of binary predictions.
 
@@ -44,12 +56,7 @@ def am_risk(predictions, truth):
     conditional error rates is undefined.
     """
     pred = np.asarray(predictions).astype(bool)
-    t = np.asarray(truth).astype(bool)
-    if pred.shape != t.shape:
-        raise InvalidInputError("predictions and truth must have equal length")
-    n_pos = int(t.sum())
-    if n_pos == 0 or n_pos == t.size:
-        raise InvalidInputError("AM risk undefined: truth contains a single class")
+    t, _ = _truth_labels(pred, "predictions", truth, "AM risk")
     fpr = float(pred[~t].mean())
     fnr = float((~pred[t]).mean())
     return 0.5 * (fpr + fnr)
@@ -59,13 +66,8 @@ def auc(scores, truth):
     """Area under the ROC curve as the Mann-Whitney statistic
     P(score+ > score-) + 0.5 P(tie), via midranks (exact under ties)."""
     s = np.asarray(scores, dtype=float)
-    t = np.asarray(truth).astype(bool)
-    if s.shape != t.shape:
-        raise InvalidInputError("scores and truth must have equal length")
-    n_pos = int(t.sum())
+    t, n_pos = _truth_labels(s, "scores", truth, "AUC")
     n_neg = t.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise InvalidInputError("AUC undefined: truth contains a single class")
     if np.isnan(s).any():  # NaN ties nothing, so its rank would hang on the sort
         raise InvalidInputError("scores contain NaN")
     # midranks: each run of tied scores shares the mean of its 1-based ranks,
@@ -83,9 +85,11 @@ def knn_scores(train_pts, train_labels, query_pts, n_neighbors=DEFAULT_NEIGHBORS
     """Fraction of positive (nonzero) labels among the ``n_neighbors``
     Euclidean-nearest training points.
 
-    Distance ties at the boundary resolve to the smaller training index; the
-    hard prediction downstream is score > 0.5, so a tied 0.5 vote predicts
-    negative.  The full scan, O(n_train * (d + 1)) per query, sums the
+    Every coordinate must be finite, else InvalidInputError; a squared
+    distance past the largest float rounds to +inf, which ties every point
+    that far.  Distance ties at the boundary resolve to the smaller training
+    index; the hard prediction downstream is score > 0.5, so a tied 0.5 vote
+    predicts negative.  The full scan, O(n_train * (d + 1)) per query, sums the
     squared coordinate differences one column at a time, in order, at every
     d, in blocks of queries of at most ``data.BLOCK_ELEMENTS`` distances (one
     query at least).  It selects rather than sorts: a partial selection finds
@@ -93,8 +97,8 @@ def knn_scores(train_pts, train_labels, query_pts, n_neighbors=DEFAULT_NEIGHBORS
     closer point is taken, and the rest go to the points at exactly that
     distance in index order, as a stable sort would.
 
-    In one dimension (finite coordinates) the training points are sorted once
-    per call.  When a query's m nearest points are unique, they are a run
+    In one dimension the training points are sorted once per call.  When
+    a query's m nearest points are unique, they are a run
     ts[l : l + m] of the sorted values with l in [i - m, i], i being the
     query's insertion point, and a midpoint search finds l in one call
     (``_run_starts``).  The run answers the query when both points just
@@ -125,9 +129,12 @@ def knn_scores(train_pts, train_labels, query_pts, n_neighbors=DEFAULT_NEIGHBORS
         raise InvalidInputError(
             f"n_neighbors must lie in [1, {tp.shape[0]}], got {n_neighbors}"
         )
-    if tp.shape[1] == 1 and np.isfinite(tp).all() and np.isfinite(qp).all():
-        return _knn_runs(tp[:, 0], positive, qp[:, 0], n_neighbors)
-    return _knn_brute(tp, positive, qp, n_neighbors)
+    if not (np.isfinite(tp).all() and np.isfinite(qp).all()):
+        raise InvalidInputError("training and query points must be finite")
+    with np.errstate(over="ignore"):  # a squared distance past the largest float is +inf
+        if tp.shape[1] == 1:
+            return _knn_runs(tp[:, 0], positive, qp[:, 0], n_neighbors)
+        return _knn_brute(tp, positive, qp, n_neighbors)
 
 
 def _sq_distances(block, columns, out, term):
@@ -298,9 +305,11 @@ def sweep(spec, n, method, d, k_grid, reps, seed, jobs=1):
 
 def geometric_k_grid(lo, hi, count):
     """count geometrically spaced integers spanning [lo, hi] (rounded; kept
-    as-is, so near-duplicates at the low end are possible)."""
+    as-is, so near-duplicates at the low end are possible).  hi may not
+    exceed ``errors.MAX_SIZE``, the largest sample size."""
     if not (1 <= lo <= hi):
         raise InvalidInputError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
+    check_size(hi, "hi")
     if count < 1:
         raise InvalidInputError("count must be >= 1")
     if count == 1:

@@ -75,11 +75,6 @@ def sym_eigen(m):
     return EigenDecomposition(vals[order], np.ascontiguousarray(vecs[:, order]))
 
 
-def default_eig_floor(eigenvalues):
-    """Scale-free rank floor: 1e-10 times the largest eigenvalue."""
-    return 1e-10 * float(np.max(eigenvalues))
-
-
 def check_floor_and_ridge(eig_floor, ridge):
     """InvalidInputError unless ``eig_floor`` is None or finite and > 0 and
     ``ridge`` is finite and >= 0: the arguments ``inv_sqrt`` accepts."""
@@ -100,11 +95,10 @@ def inv_sqrt(m, eig_floor=None, ridge=0.0):
     """
     check_floor_and_ridge(eig_floor, ridge)
     m = symmetrize(m)
-    _check_finite(m, "matrix")
     if ridge:
         m = m + ridge * np.eye(m.shape[0])
     eig = sym_eigen(m)
-    floor = default_eig_floor(eig.eigenvalues) if eig_floor is None else float(eig_floor)
+    floor = 1e-10 * float(eig.eigenvalues[0]) if eig_floor is None else float(eig_floor)
     if floor <= 0.0:
         raise RankDeficiencyError(
             f"matrix has no positive spectral scale (largest eigenvalue "

@@ -32,6 +32,7 @@ import numpy as np
 from . import rng as rngmod
 from .data import Dataset, row_blocks
 from .errors import InvalidInputError, NumericalError, check_size
+from .linalg import projector_from_basis
 
 _QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-10, limit=200)
 
@@ -295,9 +296,7 @@ def sample(spec, n, seed, stream=0):
 def true_projector(spec):
     """Orthogonal projector onto the heavy-tailed block span(e_{p-d+1..p}):
     the diagonal p x p array with d trailing ones."""
-    diag = np.zeros(spec.p)
-    diag[spec.p - spec.d :] = 1.0
-    return np.diag(diag)
+    return projector_from_basis(np.eye(spec.p)[:, spec.p - spec.d :])
 
 
 def _sf_eps(spec, t):
@@ -318,23 +317,15 @@ def _check_tail_validity(spec, y):
         )
 
 
-def _s1_conditional(spec, y, v):
-    """S1(y, v) = sum_i 1{v_i > 0} pi1_i exp(-alpha1 y / v_i), vectorized over
-    rows of v."""
-    v = np.asarray(v, dtype=float)
+def _conditional_survival(sf, weights, y, x):
+    """sum_i 1{x_i > 0} weights_i sf(y / x_i), vectorized over rows of x:
+    S1(y, v) with sf(t) = exp(-alpha1 t) and the weights pi1, S2(y, w) with
+    sf(t) = t^{-alpha2} and pi2."""
+    x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", over="ignore"):
-        ratio = np.where(v > 0.0, y / np.where(v > 0.0, v, 1.0), np.inf)
-        terms = np.where(v > 0.0, np.exp(-spec.alpha1 * ratio), 0.0)
-    return terms @ spec.pi1
-
-
-def _s2_conditional(spec, y, w):
-    """S2(y, w) = sum_j 1{w_j > 0} pi2_j (y / w_j)^{-alpha2}."""
-    w = np.asarray(w, dtype=float)
-    with np.errstate(divide="ignore"):
-        ratio = np.where(w > 0.0, y / np.where(w > 0.0, w, 1.0), np.inf)
-        terms = np.where(w > 0.0, ratio ** (-spec.alpha2), 0.0)
-    return terms @ spec.pi2
+        ratio = np.where(x > 0.0, y / np.where(x > 0.0, x, 1.0), np.inf)
+        terms = np.where(x > 0.0, sf(ratio), 0.0)
+    return terms @ weights
 
 
 def s1_marginal(spec, y):
@@ -368,8 +359,8 @@ def survival_components(spec, y, v, w):
         if not np.isfinite(vec).all():
             raise InvalidInputError(f"{name} contains non-finite entries")
     return (
-        float(_s1_conditional(spec, y, v)),
-        float(_s2_conditional(spec, y, w)),
+        float(_conditional_survival(lambda t: np.exp(-spec.alpha1 * t), spec.pi1, y, v)),
+        float(_conditional_survival(lambda t: t ** (-spec.alpha2), spec.pi2, y, w)),
         float(s1_marginal(spec, y)),
         float(s2_marginal(spec, y)),
     )
@@ -418,5 +409,6 @@ def expected_abs_R(spec, y, n_mc, seed):
     s1 = s1_marginal(spec, y)
     s2 = s2_marginal(spec, y)
     den = spec.theta * s1 + (1.0 - spec.theta) * s2
-    num_mean = spec.theta * float(np.mean(np.abs(_s1_conditional(spec, y, v) - s1)))
+    s1v = _conditional_survival(lambda t: np.exp(-spec.alpha1 * t), spec.pi1, y, v)
+    num_mean = spec.theta * float(np.mean(np.abs(s1v - s1)))
     return _safe_ratio(num_mean, den)

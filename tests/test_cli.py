@@ -507,6 +507,31 @@ def test_tci_ratio_refuses_non_finite_covariates(tmp_path, capsys, argv, name):
     assert not out.exists()
 
 
+def test_tci_ratio_with_a_subnormal_w_warns_nothing(tmp_path, capsys):
+    # y / w overflows to +inf, where the survival term is 0; the S2 sum used
+    # to warn about that overflow (warnings are errors here)
+    out = tmp_path / "r.json"
+    assert run(["tci-ratio", "--model", "A", "--y", "20", "--v", "1", "--w", "1e-320",
+                "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["r_tilde"] == -1.0
+
+
+HUGE_K_GRID = f"1:1{'0' * 400}:3"
+
+
+@pytest.mark.parametrize("argv", [
+    SWEEP_A + ["--k-grid", HUGE_K_GRID],
+    CLASSIFY_A[:-3] + [HUGE_K_GRID] + CLASSIFY_A[-2:],
+])
+def test_a_k_grid_bound_past_the_largest_size_is_a_user_error(tmp_path, capsys, argv):
+    # np.geomspace used to raise OverflowError on a bound past the float range
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tirex: error: hi must be at most") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_explicit_zero_ridge_is_the_default(tmp_path):
     data = tmp_path / "a.csv"
     run(["simulate", "--model", "A", "--n", "500", "--seed", "1", "--out", str(data)])

@@ -50,7 +50,8 @@ VALUES = {
     "seed": ints(0, 3), "stream": ints(0, 2), "jobs": ints(1, 64), "order": ints(1, 2, (0, 3)),
     "folds": ints(2, 5, (-1, 0, 1)), "neighbors": ints(1, 50, (-1, 0, 600)),
     "k_grid": mostly(st.sampled_from(["40", "5,20", "1:300:3", "1,5,600"]),
-                     st.sampled_from(["0", "", ",", "1::3", "x", f"1:5:{MAX_SIZE + 1}"])),
+                     st.sampled_from(["0", "", ",", "1::3", "x", f"1:5:{MAX_SIZE + 1}",
+                                      f"1:1{'0' * 400}:3"])),
     "u_grid": GRID, "y_grid": GRID, "v": COVARIATES, "w": COVARIATES,
     "y": FLOAT, "quantile_level": FLOAT, "ridge": FLOAT, "eig_floor": FLOAT,
     "method": mostly(st.sampled_from(["tirex1", "tirex2", "cume", "cuve", "pca", "svd_pca"]),

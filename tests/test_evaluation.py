@@ -194,6 +194,34 @@ def test_knn_neighbors_bound():
         knn_scores(np.zeros((3, 1)), np.zeros(3), np.zeros((1, 1)), 4)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_knn_refuses_non_finite_points(d, bad):
+    # a NaN query used to score 0.0 and an infinite one an index-order vote
+    train, labels = np.arange(10.0 * d).reshape(10, d), np.arange(10) % 2
+    spoilt = train.copy()
+    spoilt[3, d - 1] = bad
+    for tp, qp in ((train, spoilt), (spoilt, train)):
+        with pytest.raises(InvalidInputError, match="points must be finite"):
+            knn_scores(tp, labels, qp, 3)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_knn_squared_distances_past_the_largest_float_tie_at_inf(d):
+    # the differences and their squares overflow to +inf, which used to warn;
+    # warnings are errors here
+    line = np.array([-1e308, 1e308, 0.0, 1.0])
+    queries = np.array([1e308, -1e308, 0.5, _BIG])
+    train = np.stack([line, line[::-1]][:d], axis=1)
+    queries = np.stack([queries, queries][:d], axis=1)
+    labels = np.array([1, 0, 1, 0])
+    for m in range(1, 5):
+        got = knn_scores(train, labels, queries, m)
+        with np.errstate(over="ignore"):
+            want = knn_scores_oracle(train, labels, queries, m)
+        assert np.array_equal(got, want)
+
+
 def test_knn_predictions_invariant_under_rotation():
     rng = np.random.default_rng(4)
     train = rng.standard_normal((80, 2))

@@ -288,10 +288,11 @@ def test_signed_r_mean_is_zero_within_mc_error():
     rng = np.random.default_rng(5)
     y = 12.0
     v = spec.covariate_law.sample(rng, (200_000, 1))
-    from tirex.synthetic import _s1_conditional
+    from tirex.synthetic import _conditional_survival
 
     s1, s2 = s1_marginal(spec, y), s2_marginal(spec, y)
-    r = spec.theta * (_s1_conditional(spec, y, v) - s1) / (
+    s1v = _conditional_survival(lambda t: np.exp(-spec.alpha1 * t), spec.pi1, y, v)
+    r = spec.theta * (s1v - s1) / (
         spec.theta * s1 + (1 - spec.theta) * s2)
     assert abs(r.mean()) < 3 * r.std() / math.sqrt(r.size)
 

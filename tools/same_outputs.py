@@ -19,9 +19,11 @@ failing entries, one of them 19 440 covariance rows written in three CSV row
 blocks), five ``classify`` runs (four that reach the k-NN full scan: model C
 at d = 1, where every query has tied neighbours, and model B at d = 2, 10
 and 30, the widest its distance sums get; and the README's example, whose
-two free-k methods share the cross-validation), two ``tci-ratio`` runs (the
-pointwise ratios on model C, and ``E|R|`` on model A up to a y whose
-survival underflows to 0), and a ``fit`` of a CSV whose header names the
+two free-k methods share the cross-validation), three ``tci-ratio`` runs (the
+pointwise ratios on model C and on model A, whose uniform law reaches both
+conditional survival sums, and ``E|R|`` on model A up to a y whose survival
+underflows to 0), a ``fit`` of the ``fit-B-csv`` data with ``--ridge 0.5``
+(the regularized whitening), and a ``fit`` of a CSV whose header names the
 target twice.
 
 For a CSV or JSON file that differs, the line also gives the largest
@@ -73,6 +75,7 @@ CLASSIFY_ARGVS = [
 
 TCI_ARGVS = [
     ["--model", "C", "--y", "2", "--v", "1", "--w", "0"],
+    ["--model", "A", "--y", "20", "--v", "3", "--w", "7"],
     ["--model", "A", "--expected-abs-r", "--y-grid", "20,50,800", "--n-mc", "20000",
      "--seed", "1"],
 ]
@@ -110,9 +113,13 @@ def all_cases():
                 for argv in CLASSIFY_ARGVS]
     tci = [(f"tci-ratio {' '.join(argv)}", {}, [["tci-ratio"] + argv + ["--out", "t.json"]])
            for argv in TCI_ARGVS]
+    ridge = ("fit --ridge 0.5", {},
+             [["simulate", "--model", "B", "--n", "40000", "--seed", "1", "--out", "b.csv"],
+              ["fit", "--in", "b.csv", "--method", "tirex2", "--k", "4000", "--d", "5",
+               "--ridge", "0.5", "--out", "fit.json", "--basis-out", "basis.csv"]])
     dup = ("fit --in dup.csv", {"dup.csv": DUP_CSV},
            [["fit", "--in", "dup.csv", "--method", "pca", "--d", "1", "--out", "o.json"]])
-    return benchmark_cases() + sweeps + verify + classify + tci + [dup]
+    return benchmark_cases() + sweeps + verify + classify + tci + [ridge, dup]
 
 
 def run_case(src, case):
