@@ -365,6 +365,29 @@ def stratified_split(labels, test_fraction, seed):
 # classification protocol
 
 
+def _fit_and_vote(train_ds, train_labels, held_x, method_ks, d, n_neighbors):
+    """``{method: [(fit, scores), ...]}``: ``train_ds`` prepared once and fitted
+    by each method at each of its ``method_ks`` (clamped to the training size;
+    None keeps the method's own k rule), then the ``n_neighbors`` vote on the
+    reduced ``held_x``.  A k or ``n_neighbors`` below 1 raises before any fit,
+    and a failed fit before any vote."""
+    low_k = [k for ks in method_ks.values() for k in ks if k is not None and k < 1]
+    if low_k:
+        raise InvalidInputError(f"k must be >= 1, got {min(low_k)}")
+    if n_neighbors < 1:
+        raise InvalidInputError(f"n_neighbors must be >= 1, got {n_neighbors}")
+    prepared = PreparedFit(train_ds)
+    votes = {}
+    for method, ks in method_ks.items():
+        fits = prepared.fit_grid(method, [k if k is None else min(k, train_ds.n) for k in ks], d)
+        for f in fits:
+            if isinstance(f, NumericalError):
+                raise f
+        votes[method] = [(f, knn_scores(f.transform(train_ds.x), train_labels,
+                                        f.transform(held_x), n_neighbors)) for f in fits]
+    return votes
+
+
 def cross_validate_k(ds, methods, d, k_grid, folds, quantile_level, seed,
                      n_neighbors=DEFAULT_NEIGHBORS):
     """Pick, per method, the k maximizing the held-out AUC of the
@@ -379,8 +402,7 @@ def cross_validate_k(ds, methods, d, k_grid, folds, quantile_level, seed,
     name, raises InvalidInputError before any fit.
     """
     methods = check_methods(methods)
-    threshold = empirical_quantile(ds.y, quantile_level)
-    labels = ds.y > threshold
+    labels = ds.y > empirical_quantile(ds.y, quantile_level)
     fold_of = stratified_folds(labels, folds, seed)
     k_values = sorted({int(k) for k in k_grid})
     if not k_values:
@@ -388,19 +410,11 @@ def cross_validate_k(ds, methods, d, k_grid, folds, quantile_level, seed,
 
     fold_aucs = {method: {k: [] for k in k_values} for method in methods}
     for f_idx in range(folds):
-        val_mask = fold_of == f_idx
-        train_idx, val_idx = np.nonzero(~val_mask)[0], np.nonzero(val_mask)[0]
-        train_ds, val_ds = ds.subset(train_idx), ds.subset(val_idx)
-        ks = [min(k, train_ds.n) for k in k_values]
-        prepared = PreparedFit(train_ds)
+        train_idx, val_idx = np.nonzero(fold_of != f_idx)[0], np.nonzero(fold_of == f_idx)[0]
+        votes = _fit_and_vote(ds.subset(train_idx), labels[train_idx], ds.x[val_idx],
+                              {method: k_values for method in methods}, d, n_neighbors)
         for method, aucs in fold_aucs.items():
-            for k, f in zip(k_values, prepared.fit_grid(method, ks, d)):
-                if isinstance(f, NumericalError):
-                    raise f
-                scores = knn_scores(
-                    f.transform(train_ds.x), labels[train_idx], f.transform(val_ds.x),
-                    n_neighbors,
-                )
+            for k, (_, scores) in zip(k_values, votes[method]):
                 aucs[k].append(auc(scores, labels[val_idx]))
     tables = {m: {k: float(np.mean(a)) for k, a in aucs.items()} for m, aucs in fold_aucs.items()}
     return {m: (max(k_values, key=table.__getitem__), table) for m, table in tables.items()}
@@ -459,11 +473,9 @@ def classify_experiment(ds, methods, d, quantile_level, folds, seed,
     or repeated name, raises InvalidInputError before any fit.
     """
     methods = check_methods(methods)
-    threshold = empirical_quantile(ds.y, quantile_level)
-    labels = ds.y > threshold
+    labels = ds.y > empirical_quantile(ds.y, quantile_level)
     train_idx, test_idx = stratified_split(labels, TEST_FRACTION, seed)
-    train_ds, test_ds = ds.subset(train_idx), ds.subset(test_idx)
-    train_labels, test_labels = labels[train_idx], labels[test_idx]
+    train_ds, test_labels = ds.subset(train_idx), labels[test_idx]
 
     if k_grid is None:
         k_grid = geometric_k_grid(max(1, train_ds.n // 100), train_ds.n, 30)
@@ -471,27 +483,14 @@ def classify_experiment(ds, methods, d, quantile_level, folds, seed,
     free_k = [m for m in methods if m in FREE_K_METHODS]
     chosen = cross_validate_k(train_ds, free_k, d, k_grid, folds, quantile_level, seed,
                               n_neighbors) if free_k else {}
-    prepared = PreparedFit(train_ds)
-    results = []
-    for method in methods:
-        k = min(chosen[method][0], train_ds.n) if method in chosen else None
-        f = prepared.fit(method, k, d)
-        scores = knn_scores(
-            f.transform(train_ds.x), train_labels, f.transform(test_ds.x), n_neighbors
-        )
-        results.append(
-            MethodScore(
-                method=method,
-                am_risk=am_risk(knn_predict(scores), test_labels),
-                auc=auc(scores, test_labels),
-                chosen_k=f.k,
-            )
-        )
-    baseline = am_risk(np.zeros(test_ds.n, dtype=bool), test_labels)
-    return ClassificationReport(
-        quantile_level=quantile_level,
-        n_train=train_ds.n,
-        n_test=test_ds.n,
-        baseline_am_risk=baseline,
-        scores=results,
-    )
+    votes = _fit_and_vote(train_ds, labels[train_idx], ds.x[test_idx],
+                          {m: [chosen[m][0] if m in chosen else None] for m in methods},
+                          d, n_neighbors)
+    results = [
+        MethodScore(method=method, am_risk=am_risk(knn_predict(scores), test_labels),
+                    auc=auc(scores, test_labels), chosen_k=f.k)
+        for method, [(f, scores)] in votes.items()
+    ]
+    baseline = am_risk(np.zeros(len(test_idx), dtype=bool), test_labels)
+    return ClassificationReport(quantile_level=quantile_level, n_train=train_ds.n,
+                                n_test=len(test_idx), baseline_am_risk=baseline, scores=results)

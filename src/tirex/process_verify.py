@@ -4,10 +4,13 @@ For a covariate map h with q components, the centered, scaled process
 sqrt(k) * (D_hat_n(u) - D_n(u)) converges to a mean-zero Gaussian process
 with covariance (s ^ t) * (Xi - nu nu^T), where nu and Xi are the limits of
 the first and second conditional moments of h given the target's rank falling
-in the extreme fraction.  D_hat_n sums the estimators' own
-``tail_increments``.  This module simulates replications of the process
-on a u-grid and compares empirical means and cross-covariances entrywise
-against the limit, gating each entry at four Monte-Carlo standard errors;
+in the extreme fraction.  D_hat_n sums ``estimators.tail_increments``,
+which the estimators' block kernels do not call; the tests tie the two by
+comparing every grid candidate matrix with the Gram of the stacked
+``tail_increments`` prefix sums (``tests/oracles.py::prefix_gram_oracle``).
+This module simulates replications of the process on a u-grid and
+compares empirical means and cross-covariances entrywise against the
+limit, gating each entry at four Monte-Carlo standard errors;
 ``_gate`` is the one place that rule is computed, for both, and each
 gate's entries are one numpy record array.  Four SEs per entry without
 multiplicity correction makes this a diagnostic gate, not a formal

@@ -274,6 +274,22 @@ def test_classify_clamps_cv_k_to_training_size(tmp_path):
     assert out.read_text().splitlines()[1].endswith(",800")
 
 
+@pytest.mark.parametrize("methods, flags, message", [
+    ("tirex1", ["--k-grid", "40,0"], "k must be >= 1, got 0"),
+    ("tirex1", ["--k-grid", "40", "--neighbors", "0"], "n_neighbors must be >= 1, got 0"),
+    ("pca", ["--neighbors", "0"], "n_neighbors must be >= 1, got 0"),
+])
+def test_classify_k_or_vote_size_below_one_names_only_the_value(tmp_path, capsys, methods,
+                                                                flags, message):
+    # refused before any fit, without the size of a fold's training part
+    out = tmp_path / "c.csv"
+    assert run(["classify", "--model", "A", "--n", "200", "--methods", methods, "--d", "1",
+                "--folds", "2", "--quantile-level", "0.9", "--seed", "1", "--out", str(out)]
+               + flags) == 1
+    assert capsys.readouterr().err == f"tirex: error: {message}\n"
+    assert not out.exists()
+
+
 def test_sweep_jobs_flag_matches_serial(tmp_path):
     base = ["sweep", "--model", "A", "--n", "400", "--method", "tirex1",
             "--d", "1", "--k-grid", "40,200", "--reps", "4", "--seed", "2"]

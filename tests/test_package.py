@@ -1,4 +1,5 @@
-"""Module boundaries inside the ``tirex`` package."""
+"""Module boundaries inside the ``tirex`` package, and the README's library
+sketch of its API."""
 
 import ast
 from pathlib import Path
@@ -66,3 +67,12 @@ def test_no_module_uses_another_modules_private_names(path):
     # a helper another module needs is public API; keeping private names
     # private lets a module change them without reading the others
     assert private_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_readme_library_sketch_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library sketch\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["k"] in (464, 2000) and sorted(namespace["table"]) == [464, 2000]

@@ -47,7 +47,7 @@ def test_every_kind_of_difference_is_reported():
 
 def test_the_case_list_holds_the_benchmark_workloads_at_two_seeds():
     steps = {name: steps for name, _, steps in same_outputs.all_cases()}
-    assert len(steps) == 4 * 2 + 2 + 6 + 5 + 3 + 1 + 1 and "fit --in dup.csv" in steps
+    assert len(steps) == 4 * 2 + 2 + 6 + 6 + 3 + 1 + 1 and "fit --in dup.csv" in steps
     assert [steps[f"sweep --jobs {jobs}"][0][-2:] for jobs in ("2", "64")] == [
         ["--jobs", "2"], ["--jobs", "64"]]
     fit_b = steps["fit-B-csv seed 2"]

@@ -16,10 +16,12 @@ The cases are the four benchmark workloads of ``perfbench/run.py`` at seeds
 1 and 2, a five-replication ``sweep`` on model B at ``--jobs`` 2 and 64 (as
 many threads as the CPUs allow), six ``verify-process`` runs (two with
 failing entries, one of them 19 440 covariance rows written in three CSV row
-blocks), five ``classify`` runs (four that reach the k-NN full scan: model C
+blocks), six ``classify`` runs (four that reach the k-NN full scan: model C
 at d = 1, where every query has tied neighbours, and model B at d = 2, 10
-and 30, the widest its distance sums get; and the README's example, whose
-two free-k methods share the cross-validation), three ``tci-ratio`` runs (the
+and 30, the widest its distance sums get; the README's example, whose two
+free-k methods share the cross-validation; and all six methods with a
+``--k-grid`` value above every training size, so k is clamped in the folds
+and in the final fit), three ``tci-ratio`` runs (the
 pointwise ratios on model C and on model A, whose uniform law reaches both
 conditional survival sums, and ``E|R|`` on model A up to a y whose survival
 underflows to 0), a ``fit`` of the ``fit-B-csv`` data with ``--ridge 0.5``
@@ -70,6 +72,9 @@ CLASSIFY_ARGVS = [
      "--quantile-level", "0.9", "--folds", "3", "--k-grid", "300,1200", "--seed", "4"],
     ["--model", "A", "--n", "10000", "--methods", "tirex1,tirex2,pca", "--d", "1",
      "--quantile-level", "0.9", "--folds", "5", "--k-grid", "464,1000,2000,4000",
+     "--seed", "1"],
+    ["--model", "A", "--n", "1000", "--methods", "tirex1,tirex2,cume,cuve,pca,svd_pca",
+     "--d", "1", "--quantile-level", "0.9", "--folds", "3", "--k-grid", "50,5000",
      "--seed", "1"],
 ]
 
