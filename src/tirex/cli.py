@@ -18,6 +18,7 @@ non-convergence).
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -54,8 +55,21 @@ def _write_csv_rows(path, rows):
         fh.writelines(csv_lines(rows))
 
 
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float (a NaN statistic, an infinite
+    ratio) replaced by None, which JSON writes as null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return obj
+
+
 def _dump_json(obj, path=None):
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Strict JSON (RFC 8259): non-finite floats are written as null."""
+    text = json.dumps(_finite_or_null(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if path:
         Path(path).write_text(text, encoding="utf-8")
     else:
@@ -382,7 +396,8 @@ def _sweep_args(s):
     s.add_argument("--reps", type=_size, required=True)
     s.add_argument("--seed", type=int, required=True)
     s.add_argument("--jobs", type=int, default=1,
-                   help="at most this many replication threads (capped at the CPUs)")
+                   help="at most this many threads of work for the replications, the calling "
+                        "thread included, and no pool (capped at the CPUs)")
     s.add_argument("--out", required=True, help="output CSV path (k,bias_sq,variance,mse)")
     s.add_argument("--json-out", help="optional JSON report path")
     s.set_defaults(handler=_cmd_sweep)

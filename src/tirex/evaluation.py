@@ -279,8 +279,9 @@ def sweep(spec, n, method, d, k_grid, reps, seed, jobs=1):
     Replication r draws its own sample (stream r of the seed), prepared once
     and shared across the whole k grid; numerical failures abort single
     (k, rep) cells and are counted (see ``sweep_cell``).  ``jobs`` must be
-    >= 1 and caps the replication threads of ``rng.replicate``; results
-    reduce in replication order, so the output is independent of scheduling.
+    >= 1 and caps the threads of work of ``rng.replicate``, the calling
+    thread included; results reduce in replication order, so the output is
+    independent of scheduling.
     """
     if reps < 2:
         raise InvalidInputError("sweep needs reps >= 2")

@@ -24,10 +24,11 @@ the centered process is sqrt(k) * D_hat_n itself; Xi = I for the first-order
 process, and Xi is given by Wick pairings for the second-order one.  That
 isolates implementation error from model error.
 
-Replications run on ``rng.replicate`` with one thread per CPU this process
-may use (``taskset -c 0 tirex verify-process ...`` pins the check to one
-core).  Replication r draws from its own stream and writes its own row, so
-every output is identical for any thread count.
+Replications run on ``rng.replicate`` with one thread of work per CPU this
+process may use, the calling thread included, and no pool (``taskset -c 0
+tirex verify-process ...`` pins the check to one core).  Replication r
+draws from its own stream and writes its own row, so every output is
+identical for any thread count.
 """
 
 from dataclasses import dataclass
@@ -242,9 +243,10 @@ def covariance_check(cfg):
     cross products across replications (``_covariance_entries``).  Both
     verdicts, the means against 0 and the covariances against the limit,
     come from the one rule in ``_gate``.  ``rng.replicate`` runs the
-    replications on one thread per CPU; the draws and the arithmetic release
-    the GIL for most of each.  Beside the (reps x u-grid x q) replications
-    and the report, the gate holds one block of at most
+    replications on w threads of work, one per CPU: the calling thread and
+    w - 1 threads it starts, with no pool.  The draws and the arithmetic
+    release the GIL for most of each.  Beside the (reps x u-grid x q)
+    replications and the report, the gate holds one block of at most
     ``data.BLOCK_ELEMENTS`` cross products at a time (one row at least),
     and the replications are centered in place.
     """

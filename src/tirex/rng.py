@@ -15,6 +15,7 @@ Stream-key conventions used across the package (first component = purpose):
 """
 
 import os
+from threading import Event, Thread
 
 import numpy as np
 
@@ -37,10 +38,12 @@ def stream(seed, *key):
 
 def replicate(fn, n_reps, workers):
     """``[fn(0), ..., fn(n_reps - 1)]`` on w = min(workers, n_reps, CPUs this
-    process may use) threads, worker i running replications i, i + w, ...;
-    an exception in any replication is raised here, and the other workers
-    start no further replication once it is.  With w = 1 the loop runs in
-    the calling thread and no pool is made."""
+    process may use) threads of work, the calling thread included, and no
+    pool: share i runs replications i, i + w, ..., share 0 in the calling
+    thread and shares 1 ... w - 1 on threads started here.  An exception in
+    any replication stops every share before its next replication and is
+    raised here once all threads have joined.  With w = 1 the loop runs in
+    the calling thread and no thread starts."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -48,20 +51,33 @@ def replicate(fn, n_reps, workers):
     w = min(workers, n_reps, cpus)
     if w <= 1:
         return [fn(r) for r in range(n_reps)]
-    import concurrent.futures  # here: the import costs every CLI call ~10 ms
-    import threading
+    failed = Event()
+    errors = []
+    shares = [[] for _ in range(w)]
 
-    failed = threading.Event()
+    def run_share(i):
+        for r in range(i, n_reps, w):
+            if failed.is_set():
+                return  # another replication raised: no result is read
+            try:
+                shares[i].append(fn(r))
+            except BaseException as exc:  # re-raised in the calling thread
+                errors.append(exc)
+                failed.set()
 
-    def run(r):
-        if failed.is_set():
-            return None  # another replication raised: no result is read
-        try:
-            return fn(r)
-        except BaseException:
-            failed.set()
-            raise
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=w) as pool:
-        shares = list(pool.map(lambda i: [run(r) for r in range(i, n_reps, w)], range(w)))
+    threads = []
+    try:
+        for i in range(1, w):
+            thread = Thread(target=run_share, args=(i,))
+            thread.start()
+            threads.append(thread)
+        run_share(0)
+    except BaseException:  # a thread failed to start: stop the started ones
+        failed.set()
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return [shares[r % w][r // w] for r in range(n_reps)]

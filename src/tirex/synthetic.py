@@ -386,7 +386,8 @@ def tci_ratios(spec, y, v, w):
     R scales the conditional-survival gap by the marginal exceedance
     probability; Rtilde scales by the exceedance probability conditional on
     w, which can vanish (e.g. w = 0 under a Bernoulli law) -- that case is
-    reported as a signed infinity marker.
+    reported as a signed infinity marker, whose sign is that of R (the two
+    share the numerator).  The CLI's JSON writes the marker as null.
     """
     s1v, s2w, s1, s2 = survival_components(spec, y, v, w)
     num = spec.theta * (s1v - s1)

@@ -3,12 +3,12 @@
 The tail processes are evaluated straight from their definitions, and the
 cumulative slicing matrices as O(n^2) double sums, so the closed-form
 candidate matrices in ``tirex.estimators`` are checked against code that
-shares none of their prefix-sum arithmetic.  ``serial_pools`` stands in for
-the thread pool of ``rng.replicate`` and runs its tasks in the calling
-thread.
+shares none of their prefix-sum arithmetic.  ``threads_of_work`` counts the
+threads that ``rng.replicate`` runs its replications on.
 """
 
 import csv
+import threading
 
 import numpy as np
 
@@ -265,24 +265,18 @@ def set_cpus(monkeypatch, cpus):
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
-def serial_pools(monkeypatch):
-    """Replace the thread pool of ``rng.replicate`` by one that runs each
-    task in the calling thread, so no thread starts; the returned list
-    collects the ``max_workers`` of every pool made."""
-    sizes = []
+def threads_of_work(monkeypatch):
+    """Record, for each call of ``rng.replicate`` that starts threads, its
+    threads of work: the threads it starts plus the calling thread.  The
+    threads still start and run their shares."""
+    counts = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    class CountingThread(threading.Thread):
+        def __init__(self, target, args):
+            if args == (1,):  # share 1: the first thread a call starts
+                counts.append(1)
+            counts[-1] += 1
+            super().__init__(target=target, args=args)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", SerialPool)
-    return sizes
+    monkeypatch.setattr(rngmod, "Thread", CountingThread)
+    return counts

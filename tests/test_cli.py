@@ -14,7 +14,7 @@ from tirex.errors import InvalidInputError
 from tirex.evaluation import geometric_k_grid
 from tirex.process_verify import IndependentNormalModel, ProcessCheckConfig, covariance_check
 
-from oracles import set_cpus
+from oracles import set_cpus, threads_of_work
 
 
 def read(path):
@@ -310,16 +310,7 @@ def test_verify_process_smoke(tmp_path, capsys):
 
 
 def test_verify_process_output_ignores_the_cpu_count(tmp_path, capsys, monkeypatch):
-    from concurrent.futures import ThreadPoolExecutor
-
-    sizes = []
-
-    class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
+    sizes = threads_of_work(monkeypatch)
     outputs = []
     for cpus in (1, 4):
         set_cpus(monkeypatch, cpus)
@@ -328,7 +319,7 @@ def test_verify_process_output_ignores_the_cpu_count(tmp_path, capsys, monkeypat
                     "--reps", "120", "--order", "2", "--seed", "3",
                     "--out", str(out), "--json-out", str(js)]) == 0
         outputs.append((read(out), read(js), capsys.readouterr().out))
-    assert sizes == [4]  # one CPU runs the replications with no pool
+    assert sizes == [4]  # one CPU runs the replications in the calling thread
     assert outputs[0] == outputs[1]
     assert re.fullmatch(r"process check (PASSED|FAILED) \(.*, gate 4\*SE, "
                         r"worst \d+\.\d\d SE\)\n", outputs[0][2])
@@ -361,6 +352,37 @@ def test_tci_ratio_point_mode(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["r_tilde"] == 1.0
+
+
+def _strict_json(path):
+    """The JSON of ``path`` under RFC 8259, which has no NaN or Infinity."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_tci_ratio_writes_an_infinite_ratio_as_null(tmp_path):
+    # the Bernoulli covariate at w = 0 gives R-tilde a zero denominator; the
+    # library flags it as +inf (the sign of R, whose numerator it shares),
+    # which the payload used to hold as the token Infinity
+    out = tmp_path / "r.json"
+    assert run(["tci-ratio", "--model", "A", "--y", "5000", "--v", "1000000", "--w", "0",
+                "--out", str(out)]) == 0
+    payload = _strict_json(out)
+    assert payload["r_tilde"] is None and payload["r"] > 0
+
+
+def test_sweep_writes_a_cell_without_replications_as_null(tmp_path):
+    # no replication of the one cell succeeds, so its statistics are NaN:
+    # nan in the CSV, null in the JSON (it used to hold the token NaN)
+    out, js = tmp_path / "s.csv", tmp_path / "s.json"
+    assert run(["sweep", "--model", "C", "--n", "3", "--method", "tirex1", "--d", "1",
+                "--k-grid", "2", "--reps", "2", "--seed", "1",
+                "--out", str(out), "--json-out", str(js)]) == 0
+    [cell] = _strict_json(js)["cells"]
+    assert cell == {"k": 2, "bias_sq": None, "variance": None, "mse": None,
+                    "reps_ok": 0, "failures": 2}
+    assert out.read_text() == "k,bias_sq,variance,mse\n2,nan,nan,nan\n"
 
 
 def test_tci_ratio_expectation_mode(tmp_path):
@@ -417,9 +439,8 @@ def test_importing_the_cli_loads_no_scipy():
 
 
 def test_importing_the_cli_loads_no_worker_pools():
-    # rng.replicate imports its thread pool only when it starts one (never
-    # at sweep's default --jobs 1); loading concurrent.futures at import
-    # time adds about 10 ms to every CLI call
+    # rng.replicate runs on plain threads and no pool; loading
+    # concurrent.futures at import time adds about 10 ms to every CLI call
     assert _loaded_after_cli_import("multiprocessing", "concurrent") == "[]"
 
 

@@ -1,10 +1,11 @@
 """Fuzz of the command-line boundary: argv built from each subcommand's
 real flags, with arbitrary JSON as the --config and --spec files.
 
-Whatever the input, ``run`` returns 0, 1 or 2, no exception escapes it, and
-a nonzero exit writes a ``tirex:`` line to stderr.  Values stay small (sizes
-up to 500, a few above MAX_SIZE, tiny k grids, one worker process), so the
-runs that pass every check finish in milliseconds.
+Whatever the input, ``run`` returns 0, 1 or 2, no exception escapes it, a
+nonzero exit writes a ``tirex:`` line to stderr, and every JSON payload it
+writes, to a file or to stdout, is strict JSON (no NaN or Infinity).  Values
+stay small (sizes up to 500, a few above MAX_SIZE, tiny k grids, one worker
+process), so the runs that pass every check finish in milliseconds.
 """
 
 import contextlib
@@ -131,11 +132,21 @@ def test_run_exits_0_1_or_2_and_names_its_fault(invocation, spec):
             rng = np.random.default_rng(0)
             rows = np.column_stack([rng.random((40, 2)), rng.pareto(2.0, 40)])
             Path("d.csv").write_text("x1,x2,y\n" + "".join(f"{a},{b},{c}\n" for a, b, c in rows))
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = run(argv)
+            written = [f.read_text() for f in sorted(Path().rglob("*"))
+                       if f.is_file() and f.name not in ("c.json", "s.json", "d.csv")]
         finally:
             os.chdir(cwd)
     assert code in (0, 1, 2)
     if code:
         assert any(line.startswith("tirex: ") for line in err.getvalue().splitlines())
+    for text in written + [out.getvalue()]:
+        if text.startswith("{"):  # every JSON payload, to a file or stdout
+            json.loads(text, parse_constant=_refuse_constant)
+
+
+def _refuse_constant(token):
+    """A strict parser: NaN, Infinity and -Infinity are not JSON (RFC 8259)."""
+    raise ValueError(f"{token} is not JSON")

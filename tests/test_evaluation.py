@@ -29,8 +29,8 @@ from oracles import (
     column_sum_sq_distances,
     knn_run_start_oracle,
     knn_scores_oracle,
-    serial_pools,
     set_cpus,
+    threads_of_work,
 )
 
 # ---------------------------------------------------------------------------
@@ -612,7 +612,7 @@ def test_sweep_parallel_matches_serial(monkeypatch):
 def test_sweep_starts_no_more_workers_than_replications(monkeypatch):
     # nor more than the CPUs: --jobs 100000 on two CPUs asks for two
     # threads, and on one CPU the replications run in the calling thread
-    started = serial_pools(monkeypatch)
+    started = threads_of_work(monkeypatch)
     spec, _ = model_preset("A")
     want = sweep(spec, 200, "tirex1", 1, [20], reps=3, seed=3)
     for cpus, jobs in ((64, 2), (64, 64), (2, 100000), (1, 100000)):

@@ -29,7 +29,7 @@ from tirex.process_verify import (
 )
 from tirex import rng as rngmod
 
-from oracles import covariance_entries_oracle, mean_entries_oracle, serial_pools, set_cpus
+from oracles import covariance_entries_oracle, mean_entries_oracle, set_cpus, threads_of_work
 
 
 def test_config_validation():
@@ -173,11 +173,11 @@ def test_results_do_not_depend_on_the_worker_count(monkeypatch):
 
 
 def test_replication_workers_bounded_by_reps_and_cpus(monkeypatch):
-    # one thread per CPU, never more than the 101 replications; one CPU
-    # runs the loop in the calling thread, with no pool
+    # one thread of work per CPU, never more than the 101 replications; one
+    # CPU runs the loop in the calling thread and starts no thread
     for cpus, want in ((500, [101]), (3, [3]), (1, [])):
         set_cpus(monkeypatch, cpus)
-        sizes = serial_pools(monkeypatch)
+        sizes = threads_of_work(monkeypatch)
         covariance_check(_small_config())
         assert sizes == want
 
