@@ -301,14 +301,9 @@ def _cmd_classify(args):
 
 def _cmd_verify_process(args):
     cfg = ProcessCheckConfig(
-        generator=IndependentNormalModel(p=args.p),
-        n=args.n,
-        k=args.k,
-        n_reps=args.reps,
-        u_grid=tuple(_parse_list(args.u_grid, float, "--u-grid")),
-        order=args.order,
-        seed=args.seed,
-    )
+        IndependentNormalModel(p=args.p), n=args.n, k=args.k, n_reps=args.reps,
+        u_grid=tuple(_parse_list(args.u_grid, float, "--u-grid")), order=args.order,
+        seed=args.seed)
     report = covariance_check(cfg)
     _write_report(report, args)
     sys.stdout.write(
@@ -430,7 +425,9 @@ def _verify_process_args(s):
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--reps", type=_size, required=True)
     s.add_argument("--u-grid", default="0.1,0.3,0.5,0.7,1.0",
-                   help="comma list of u values (default %(default)s)")
+                   help="comma list of u values; the covariance limit is min(ceil(k u_s), "
+                        "ceil(k u_t))/k * Xi, (u_s ^ u_t) Xi where k u is an integer "
+                        "(default %(default)s)")
     s.add_argument("--order", type=int, choices=(1, 2), default=ProcessCheckConfig.order,
                    help="process order (default %(default)s)")
     s.add_argument("--seed", type=int, required=True)

@@ -12,16 +12,16 @@ This module simulates replications of the process on a u-grid and
 compares empirical means and cross-covariances entrywise against the
 limit, gating each entry at four Monte-Carlo standard errors;
 ``_gate`` is the one place that rule is computed, for both, and each
-gate's entries are one numpy record array.  Four SEs per entry without
-multiplicity correction makes this a diagnostic gate, not a formal
-hypothesis test; with a few hundred entries occasional borderline
-excursions are expected under a wrong implementation much more than under
-a correct one.
+gate's entries are one numpy record array.  Four SEs per entry, with no
+multiplicity correction, make this a diagnostic gate, not a formal test.
 
 The verification model draws the target independent of standard normal
 covariates, for which every limit quantity is exact: D_n = 0 and nu = 0, so
 the centered process is sqrt(k) * D_hat_n itself; Xi = I for the first-order
-process, and Xi is given by Wick pairings for the second-order one.  That
+process, and Xi is given by Wick pairings for the second-order one.  The
+top k rows are iid, so with D_hat_n(u) summing the top j = ceil(k u) of
+them (``_breakpoints``) the covariance min(ceil(k u_s), ceil(k u_t))/k * Xi
+is exact at finite k; it is (u_s ^ u_t) Xi where k u is an integer.  That
 isolates implementation error from model error.
 
 Replications run on ``rng.replicate`` with one thread of work per CPU this
@@ -72,8 +72,9 @@ class ProcessCheckConfig:
     """Settings for one covariance check run.
 
     The generator is exact with nu = 0 and D_n = 0, and supplies Xi.
-    u_grid must be ascending within (0, 1], each u at or past the first
-    breakpoint 1/k, and 1 <= k < n so the extreme fraction is proper.
+    u_grid must be ascending within (0, 1] with k u >= 1e-9, so that each
+    breakpoint (``_breakpoints``) is at least 1 (any u in (0, 1/k] reads
+    the top row), and 1 <= k < n so the extreme fraction is proper.
     With q = p process components (p^2 at order 2), neither q^2 nor
     n_reps * len(u_grid) * q may exceed ``errors.MAX_SIZE``.
     """
@@ -98,8 +99,9 @@ class ProcessCheckConfig:
             raise InvalidInputError("u_grid values must lie in (0, 1]")
         if list(grid) != sorted(grid):
             raise InvalidInputError("u_grid must be sorted ascending")
-        if ceil_index(self.k * grid[0]) < 1:
-            raise InvalidInputError(f"u_grid values must be >= 1/k = {1 / self.k!r}")
+        if _breakpoints(self.k, grid[:1])[0] < 1:
+            raise InvalidInputError(f"u_grid value {grid[0]!r} reads no row at k = {self.k}: "
+                                    "need k * u >= 1e-9")
         q = self.generator.p ** self.order
         check_size(q * q, f"q^2 (q = {q} process components)")
         check_size(self.n_reps * len(grid) * q, "reps x u-grid length x q")
@@ -170,19 +172,20 @@ def _failures(entries):
     return [dict(zip(names, row)) for row in entries[~entries["ok"]][names].tolist()]
 
 
-def _grid_rows(k, u_grid):
-    """For each u, the prefix (0-based, of k) that D_hat_n(u) reads."""
-    return [min(ceil_index(k * u), k) - 1 for u in u_grid]
+def _breakpoints(k, u_grid):
+    """For each u, the number j = min(ceil(k u), k) of top rows that
+    D_hat_n(u) sums, with ``data.ceil_index``'s 1e-9 snap."""
+    return np.array([min(ceil_index(k * u), k) for u in u_grid])
 
 
-def _process_values(z, y, k, grid_rows, order):
+def _process_values(z, y, k, prefix_rows, order):
     """D_hat_n(u) on the grid from one sample: prefix sums of the tail
     increments over the k rows of largest target, in descending order,
-    divided by k, one row per u (``grid_rows``; the second-order p x p
-    values flattened)."""
+    divided by k, one row per u (``prefix_rows``, the breakpoints less 1;
+    the second-order p x p values flattened)."""
     rows = z[descending_order(y, k)]
     prefixes = np.cumsum(tail_increments(rows, order == 2).reshape(k, -1), axis=0)
-    return prefixes[grid_rows] / k
+    return prefixes[prefix_rows] / k
 
 
 def _gate(samples, theory):
@@ -208,9 +211,10 @@ def _mean_entries(replications, grid):
     return entries.ravel(), means
 
 
-def _covariance_entries(centered, grid, limit_cov):
+def _covariance_entries(centered, grid, k, limit_cov):
     """The covariance gate's records, for u-pairs s <= t and then row a and
-    column b, from the centered replications (reps x u-grid x q).
+    column b, from the centered replications (reps x u-grid x q), against
+    min(j_s, j_t)/k * limit_cov at the ``_breakpoints`` j.
 
     The cross products of one (s, t) go to ``_gate`` in ``row_blocks`` of
     rows a, at most ``data.BLOCK_ELEMENTS`` products (one row at least): per
@@ -219,11 +223,11 @@ def _covariance_entries(centered, grid, limit_cov):
     """
     n_reps, n_u, q = centered.shape
     us, ut = np.triu_indices(n_u)
-    grid = np.asarray(grid)
+    grid, breaks = np.asarray(grid), _breakpoints(k, grid)
     entries = np.empty((len(us), q, q), COV_ENTRY)
     entries["u_s"], entries["u_t"] = grid[us, None, None], grid[ut, None, None]
     entries["row"], entries["col"] = np.arange(q)[:, None], np.arange(q)
-    entries["theoretical"] = np.minimum(grid[us], grid[ut])[:, None, None] * limit_cov
+    entries["theoretical"] = (np.minimum(breaks[us], breaks[ut]) / k)[:, None, None] * limit_cov
     blocks = row_blocks(q, BLOCK_ELEMENTS // (n_reps * q))
     for pair, s, t in zip(entries, us, ut):
         for lo, hi in blocks:
@@ -237,35 +241,35 @@ def covariance_check(cfg):
     """Simulate the scaled process and gate mean and covariance entrywise.
 
     Replication r uses stream (seed, 4, r).  The model has D_n = 0 and
-    nu = 0, so the replications are sqrt(k) * D_hat_n and their empirical
-    cross-covariances over the u-grid are compared to (u_s ^ u_t) Xi; the
-    per-entry standard error is estimated from the spread of the centered
-    cross products across replications (``_covariance_entries``).  Both
-    verdicts, the means against 0 and the covariances against the limit,
-    come from the one rule in ``_gate``.  ``rng.replicate`` runs the
-    replications on w threads of work, one per CPU: the calling thread and
-    w - 1 threads it starts, with no pool.  The draws and the arithmetic
-    release the GIL for most of each.  Beside the (reps x u-grid x q)
-    replications and the report, the gate holds one block of at most
-    ``data.BLOCK_ELEMENTS`` cross products at a time (one row at least),
-    and the replications are centered in place.
+    nu = 0, so the replications are sqrt(k) * D_hat_n; their empirical
+    cross-covariances over the u-grid are compared to min(ceil(k u_s),
+    ceil(k u_t))/k * Xi, (u_s ^ u_t) Xi on breakpoints, with per-entry
+    standard errors from the spread of the centered cross products
+    (``_covariance_entries``).  Both verdicts, the means against 0 and the
+    covariances against the limit, come from the one rule in ``_gate``.
+    ``rng.replicate`` runs the replications on w threads of work, one per
+    CPU: the calling thread and w - 1 threads it starts, with no pool; the
+    draws and the arithmetic release the GIL for most of each.  Beside the
+    (reps x u-grid x q) replications and the report, the gate holds one
+    block of at most ``data.BLOCK_ELEMENTS`` cross products at a time (one
+    row at least), and the replications are centered in place.
     """
     grid = list(cfg.u_grid)
     limit_cov = cfg.generator.xi(cfg.order)
     scale = np.sqrt(cfg.k)
 
-    grid_rows = _grid_rows(cfg.k, grid)
+    prefix_rows = _breakpoints(cfg.k, grid) - 1
     devs = np.empty((cfg.n_reps, len(grid), limit_cov.shape[0]))
 
     def run_one(r):
         z, y = cfg.generator.sample(cfg.n, rngmod.stream(cfg.seed, 4, r))
-        devs[r] = scale * _process_values(z, y, cfg.k, grid_rows, cfg.order)
+        devs[r] = scale * _process_values(z, y, cfg.k, prefix_rows, cfg.order)
 
     rngmod.replicate(run_one, cfg.n_reps, cfg.n_reps)
 
     mean_entries, means = _mean_entries(devs, grid)
     devs -= means  # centered in place: nothing reads the raw values again
-    cov_entries = _covariance_entries(devs, grid, limit_cov)
+    cov_entries = _covariance_entries(devs, grid, cfg.k, limit_cov)
     summary = {"n": cfg.n, "k": cfg.k, "n_reps": cfg.n_reps, "u_grid": grid,
                "order": cfg.order, "seed": cfg.seed, "p": cfg.generator.p}
     return ProcessCheckReport(summary, mean_entries, cov_entries)

@@ -37,20 +37,18 @@ def stream(seed, *key):
 
 
 def replicate(fn, n_reps, workers):
-    """``[fn(0), ..., fn(n_reps - 1)]`` on w = min(workers, n_reps, CPUs this
-    process may use) threads of work, the calling thread included, and no
-    pool: share i runs replications i, i + w, ..., share 0 in the calling
-    thread and shares 1 ... w - 1 on threads started here.  An exception in
-    any replication stops every share before its next replication and is
-    raised here once all threads have joined.  With w = 1 the loop runs in
-    the calling thread and no thread starts."""
+    """``[fn(0), ..., fn(n_reps - 1)]`` on w = max(1, min(workers, n_reps,
+    CPUs this process may use)) threads of work, the calling thread
+    included, and no pool: share i runs replications i, i + w, ..., share 0
+    in the calling thread and shares 1 ... w - 1 on threads started here.
+    An exception in any replication stops every share before its next
+    replication and is raised here once all threads have joined.  With
+    w = 1 no thread starts."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    w = min(workers, n_reps, cpus)
-    if w <= 1:
-        return [fn(r) for r in range(n_reps)]
+    w = max(1, min(workers, n_reps, cpus))
     failed = Event()
     errors = []
     shares = [[] for _ in range(w)]

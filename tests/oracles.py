@@ -223,10 +223,12 @@ def whiten_all(std):
     return std.whiten(np.arange(std.x.shape[0]))
 
 
-def covariance_entries_oracle(centered, grid, limit_cov):
+def covariance_entries_oracle(centered, grid, k, limit_cov):
     """``process_verify._covariance_entries`` as one (reps x q x q) product
     array per u-pair, as the gate was computed before it went in blocks of
-    rows: the bit-for-bit reference, as ``COV_ENTRY`` records."""
+    rows: the bit-for-bit reference, as ``COV_ENTRY`` records.  The limit
+    of (u_s, u_t) is m/k * limit_cov, with m the smaller number of top rows
+    that ``c_process`` sums at u_s and at u_t."""
     n_reps, n_u, q = centered.shape
     entries = []
     for s in range(n_u):
@@ -234,7 +236,7 @@ def covariance_entries_oracle(centered, grid, limit_cov):
             prods = np.einsum("ra,rb->rab", centered[:, s, :], centered[:, t, :])
             emp = prods.mean(axis=0)
             se = prods.std(axis=0, ddof=1) / np.sqrt(n_reps)
-            theory = min(grid[s], grid[t]) * limit_cov
+            theory = min(min(ceil_index(k * u), k) for u in (grid[s], grid[t])) / k * limit_cov
             dev = np.abs(emp - theory)
             ok = dev <= 4.0 * se + 1e-12
             for a in range(q):

@@ -309,6 +309,15 @@ def test_verify_process_smoke(tmp_path, capsys):
     assert out.read_text().startswith("u_s,u_t,row,col,")
 
 
+def test_verify_process_passes_off_the_breakpoints(tmp_path, capsys):
+    # k u = 1.5 at u = 0.15: D_hat_n sums the top 2 of the 10 rows, whose
+    # covariance 0.2 Xi the check now reads; against 0.15 Xi it failed at 11.46 SE
+    assert run(["verify-process", "--n", "200", "--k", "10", "--reps", "4000",
+                "--order", "1", "--u-grid", "0.15,0.5,1.0", "--seed", "1",
+                "--out", str(tmp_path / "v.csv")]) == 0
+    assert capsys.readouterr().out.startswith("process check PASSED")
+
+
 def test_verify_process_output_ignores_the_cpu_count(tmp_path, capsys, monkeypatch):
     sizes = threads_of_work(monkeypatch)
     outputs = []

@@ -20,9 +20,9 @@ from tirex.process_verify import (
     IndependentNormalModel,
     ProcessCheckConfig,
     ProcessCheckReport,
+    _breakpoints,
     _covariance_entries,
     _gate,
-    _grid_rows,
     _mean_entries,
     _process_values,
     covariance_check,
@@ -45,9 +45,11 @@ def test_config_validation():
     for k in (0, -5):
         with pytest.raises(InvalidInputError):
             ProcessCheckConfig(gen, n=100, k=k, n_reps=200, u_grid=(0.5,))
-    # k * u rounds to 0: the grid point lies before the first breakpoint 1/k
-    with pytest.raises(InvalidInputError):
+    # k * u snaps to 0: the grid point reads no row; any u in (0, 1/k] reads one
+    with pytest.raises(InvalidInputError, match=r"value 1e-12 reads no row at k = 10"):
         ProcessCheckConfig(gen, n=100, k=10, n_reps=200, u_grid=(1e-12, 0.5))
+    assert ProcessCheckConfig(gen, n=100, k=10, n_reps=200, u_grid=(1e-9, 0.05)).u_grid == (
+        1e-9, 0.05)
     with pytest.raises(InvalidInputError):
         IndependentNormalModel(p=0)
 
@@ -68,9 +70,9 @@ def test_process_values_match_direct_definition():
     z = rng.standard_normal((40, 2))
     y = rng.standard_normal(40)
     k = 10
-    grid = [0.3, 0.7, 1.0]
-    vals = _process_values(z, y, k, _grid_rows(k, grid), order=1)
-    vals2 = _process_values(z, y, k, _grid_rows(k, grid), order=2)
+    grid = [0.15, 0.3, 0.7, 1.0]
+    vals = _process_values(z, y, k, _breakpoints(k, grid) - 1, order=1)
+    vals2 = _process_values(z, y, k, _breakpoints(k, grid) - 1, order=2)
     from tirex.data import descending_order
     from oracles import b_process, c_process
 
@@ -89,10 +91,33 @@ def test_rank_equivalence_bitwise():
     gen = IndependentNormalModel(p=3)
     z, y = gen.sample(500, rng)
     u = norm.cdf(-y)  # cdf of the negated target, strictly increasing in -y
-    grid_rows = _grid_rows(60, [0.1, 0.5, 1.0])
-    a = _process_values(z, y, 60, grid_rows, order=1)
-    b = _process_values(z, -u, 60, grid_rows, order=1)
+    prefix_rows = _breakpoints(60, [0.1, 0.5, 1.0]) - 1
+    a = _process_values(z, y, 60, prefix_rows, order=1)
+    b = _process_values(z, -u, 60, prefix_rows, order=1)
     assert np.array_equal(a, b)
+
+
+def test_breakpoints_snap_products_within_1e_9():
+    # 0.07 * 100 evaluates to 7.000000000000001 and snaps to 7, not 8; off
+    # the breakpoints k u = 1.5 reads 2 rows and 1e-9 one
+    assert _breakpoints(100, [0.07, 0.57, 1.0]).tolist() == [7, 57, 100]
+    assert _breakpoints(10, [1e-10, 0.05, 0.15, 0.31]).tolist() == [1, 1, 2, 4]
+    assert _breakpoints(2, [0.5000000001, 0.51]).tolist() == [1, 2]
+
+
+def test_the_limit_reads_the_breakpoints_off_the_grid():
+    # k u = 1.5 is no breakpoint: D_hat_n(0.15) sums the top 2 of 10 iid rows,
+    # so its exact covariance is 0.2 Xi, not 0.15 Xi
+    cfg = ProcessCheckConfig(generator=IndependentNormalModel(p=2), n=200, k=10, n_reps=400,
+                             u_grid=(0.15, 0.5, 1.0), order=2, seed=1)
+    report = covariance_check(cfg)
+    xi = cfg.generator.xi(2)
+    entries = report.cov_entries.reshape(6, 4, 4)
+    for pair, want in zip(entries, (0.2, 0.2, 0.2, 0.5, 0.5, 1.0)):
+        assert pair["theoretical"].tolist() == (want * xi).tolist()
+    assert entries[1]["u_s"].tolist() == [[0.15] * 4] * 4
+    assert entries[1]["u_t"].tolist() == [[0.5] * 4] * 4
+    assert report.to_json_dict()["config"]["u_grid"] == [0.15, 0.5, 1.0]
 
 
 def test_covariance_check_passes_at_reduced_scale():
@@ -245,7 +270,7 @@ def _centered_replications(draw, center=True):
         devs -= devs.mean(axis=0)
     grid = sorted(draw(st.lists(st.floats(1e-3, 1.0), min_size=n_u, max_size=n_u)))
     limit_cov = draw(arrays(np.float64, (q, q), elements=st.floats(-10.0, 10.0)))
-    return devs, grid, limit_cov
+    return devs, grid, draw(st.integers(1, 5000)), limit_cov
 
 
 def _bits(entries):
@@ -269,9 +294,9 @@ def _mixed_verdicts_case(center):
 def test_gates_equal_their_oracles_on_mixed_verdicts(center):
     replications, grid, limit_cov = _mixed_verdicts_case(center)
     means = _mean_entries(replications, grid)[0]
-    covs = _covariance_entries(replications, grid, limit_cov)
+    covs = _covariance_entries(replications, grid, 10, limit_cov)
     assert _bits(means) == _bits(mean_entries_oracle(replications, grid))
-    assert _bits(covs) == _bits(covariance_entries_oracle(replications, grid, limit_cov))
+    assert _bits(covs) == _bits(covariance_entries_oracle(replications, grid, 10, limit_cov))
     assert set(covs["ok"].tolist()) == {True, False}
     assert set(means["ok"].tolist()) == ({True} if center else {True, False})
 
@@ -280,7 +305,7 @@ def test_failures_in_the_json_are_python_scalars():
     # numpy integers in the payload would make json.dumps raise
     replications, grid, limit_cov = _mixed_verdicts_case(center=False)
     report = ProcessCheckReport({}, _mean_entries(replications, grid)[0],
-                                _covariance_entries(replications, grid, limit_cov))
+                                _covariance_entries(replications, grid, 10, limit_cov))
     payload = report.to_json_dict()
     json.dumps(payload, allow_nan=False)
     assert payload["mean_failures"] and payload["cov_failures"]
@@ -295,7 +320,7 @@ def test_failures_in_the_json_are_python_scalars():
 @given(_centered_replications(center=False))
 @settings(max_examples=100, deadline=None)
 def test_mean_entries_equal_the_inline_gate_oracle(case):
-    replications, grid, _ = case
+    replications, grid, _, _ = case
     entries, means = _mean_entries(replications, grid)
     assert _bits(entries) == _bits(mean_entries_oracle(replications, grid))
     assert means.tobytes() == replications.mean(axis=0).tobytes()
@@ -307,13 +332,13 @@ def test_covariance_entries_equal_the_product_array_oracle(case):
     # cross products gated one row at a time, two rows at a time (one block
     # of one row when q is odd), all at once and at the module's budget give
     # the bits of the whole (reps x q x q) product array
-    centered, grid, limit_cov = case
+    centered, grid, k, limit_cov = case
     n_reps, _, q = centered.shape
-    want = covariance_entries_oracle(centered, grid, limit_cov)
+    want = covariance_entries_oracle(centered, grid, k, limit_cov)
     for budget in (1, 2 * n_reps * q, n_reps * q * q + 1, process_verify.BLOCK_ELEMENTS):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(process_verify, "BLOCK_ELEMENTS", budget)
-            got = _covariance_entries(centered, grid, limit_cov)
+            got = _covariance_entries(centered, grid, k, limit_cov)
         assert len(got) == len(want)
         assert _bits(got) == _bits(want)
 

@@ -12,11 +12,12 @@ from oracles import set_cpus, threads_of_work
 
 def test_replicate_caps_the_threads_at_workers_reps_and_cpus(monkeypatch):
     # (cpus, workers, reps, threads of work): a large --jobs or --reps asks
-    # for no more threads than there are CPUs, and one worker starts none
+    # for no more threads than there are CPUs, and one worker starts none;
+    # no workers still runs every replication, and no replications give []
     for cpus, workers, n_reps, want in ((64, 2, 3, [2]), (64, 64, 3, [3]),
                                         (4, 10**5, 10**5, [4]), (64, 1000, 5, [5]),
                                         (3, 1000, 1000, [3]), (1, 64, 100, []),
-                                        (64, 1, 100, [])):
+                                        (64, 1, 100, []), (64, 0, 7, []), (64, 8, 0, [])):
         set_cpus(monkeypatch, cpus)
         sizes = threads_of_work(monkeypatch)
         assert replicate(lambda r: r, n_reps, workers) == list(range(n_reps))
@@ -37,6 +38,7 @@ def test_one_worker_runs_in_the_calling_thread_and_imports_no_pool():
             "me = threading.get_ident(); "
             "ids = replicate(lambda r: threading.get_ident(), 5, 1); "
             "assert ids == [me] * 5, ids; "
+            "assert replicate(lambda r: threading.get_ident(), 5, 0) == ids; "
             "ids = replicate(lambda r: threading.get_ident(), 5, 2); "
             "assert ids[0::2] == [me] * 3 and me not in ids[1::2], ids; "
             "assert len(set(ids[1::2])) == 1, ids; "

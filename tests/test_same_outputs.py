@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+from tirex.cli import build_parser
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("same_outputs", ROOT / "tools" / "same_outputs.py")
 same_outputs = importlib.util.module_from_spec(_spec)
@@ -52,6 +54,14 @@ def test_the_case_list_holds_the_benchmark_workloads_at_two_seeds():
         ["--jobs", "2"], ["--jobs", "64"]]
     fit_b = steps["fit-B-csv seed 2"]
     assert [step[0] for step in fit_b] == ["simulate", "fit"] and "2" in fit_b[0]
+
+
+def test_every_step_of_every_case_parses():
+    # a step that is a usage error compares two error messages, not outputs
+    for _, _, steps in same_outputs.all_cases():
+        for step in steps:
+            parser, _ = build_parser(step[0])
+            assert parser.parse_args(step).handler
 
 
 def test_the_largest_relative_difference_reads_numbers_at_the_same_place():

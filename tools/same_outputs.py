@@ -14,9 +14,12 @@ nothing differs and 1 otherwise.
 
 The cases are the four benchmark workloads of ``perfbench/run.py`` at seeds
 1 and 2, a five-replication ``sweep`` on model B at ``--jobs`` 2 and 64 (as
-many threads as the CPUs allow), six ``verify-process`` runs (two with
-failing entries, one of them 19 440 covariance rows written in three CSV row
-blocks), six ``classify`` runs (four that reach the k-NN full scan: model C
+many threads as the CPUs allow), six ``verify-process`` runs (the
+benchmark's at seed 1; order 2 at p = 1 with n = 3 and k = 2, whose default
+grid reads breakpoints 1, 1, 1, 2, 2; k = 299 with u = 0.01, off the
+breakpoints; order 2 at p = 4 with k = 20; and two with failing entries at
+p = 5 and 6, order 2 and 100 replications, the second 19 440 covariance rows
+written in three CSV row blocks), six ``classify`` runs (four that reach the k-NN full scan: model C
 at d = 1, where every query has tied neighbours, and model B at d = 2, 10
 and 30, the widest its distance sums get; the README's example, whose two
 free-k methods share the cross-validation; and all six methods with a
@@ -54,9 +57,10 @@ SWEEP_ARGV = ["sweep", "--model", "B", "--n", "20000", "--method", "tirex2", "--
 
 VERIFY_ARGVS = [
     ["--n", "5000", "--k", "500", "--reps", "2000", "--order", "2", "--seed", "1"],
-    ["--p", "1", "--order", "2", "--n", "3", "--k", "2"],
-    ["--p", "2", "--k", "299", "--u-grid", "0.01,1.0"],
-    ["--p", "4", "--order", "2", "--k", "20"],
+    ["--p", "1", "--order", "2", "--n", "3", "--k", "2", "--reps", "200", "--seed", "1"],
+    ["--p", "2", "--n", "2000", "--k", "299", "--u-grid", "0.01,1.0", "--reps", "200",
+     "--seed", "1"],
+    ["--p", "4", "--order", "2", "--n", "400", "--k", "20", "--reps", "200", "--seed", "1"],
     ["--p", "5", "--order", "2", "--n", "400", "--k", "40", "--reps", "100", "--seed", "1"],
     ["--p", "6", "--order", "2", "--n", "400", "--k", "40", "--reps", "100", "--seed", "1"],
 ]
